@@ -32,11 +32,11 @@ let write_metrics ?entries () =
   Format.printf "@.wrote BENCH_lookup.json (%d sweep points)@."
     (List.length entries)
 
-(* The `raw` quick mode reruns only RAW1 but keeps every other
-   experiment's rows: the existing file's entries minus stale RAW1 ones,
-   plus the fresh records.  A missing or unparseable file degrades to
-   the fresh rows alone. *)
-let merge_raw_entries fresh =
+(* The `raw` and `mut` quick modes rerun one experiment but keep every
+   other row: the existing file's entries minus the stale ones [stale]
+   selects, plus the fresh records.  A missing or unparseable file
+   degrades to the fresh rows alone. *)
+let merge_entries ~stale fresh =
   let kept =
     match
       In_channel.with_open_text "BENCH_lookup.json" In_channel.input_all
@@ -46,7 +46,7 @@ let merge_raw_entries fresh =
       (match Raw_bench.Reader.parse text with
       | exception Raw_bench.Reader.Bad msg ->
         Format.printf
-          "  note: BENCH_lookup.json unparseable (%s); keeping RAW1 rows \
+          "  note: BENCH_lookup.json unparseable (%s); keeping fresh rows \
            only@."
           msg;
         []
@@ -54,11 +54,7 @@ let merge_raw_entries fresh =
         (match List.assoc_opt "entries" fields with
         | Some (Telemetry.Json.List l) ->
           List.filter
-            (function
-              | Telemetry.Json.Obj fs ->
-                List.assoc_opt "experiment" fs
-                <> Some (Telemetry.Json.String "RAW1")
-              | _ -> true)
+            (function Telemetry.Json.Obj fs -> not (stale fs) | _ -> true)
             l
         | _ -> [])
       | _ -> [])
@@ -74,6 +70,7 @@ let () =
   if Array.exists (String.equal "smoke") Sys.argv then begin
     Packed_bench.smoke ();
     Mro_bench.smoke ();
+    Mut_bench.smoke ();
     Format.printf "@.%s@."
       (if !Fig_tables.checks_failed = 0 then "Smoke checks passed."
        else
@@ -101,13 +98,35 @@ let () =
   if Array.exists (String.equal "raw") Sys.argv then begin
     Raw_bench.run ();
     write_metrics
-      ~entries:(merge_raw_entries (List.rev !Scaling.bench_records)) ();
+      ~entries:
+        (merge_entries
+           ~stale:(fun fs ->
+             List.assoc_opt "experiment" fs
+             = Some (Telemetry.Json.String "RAW1"))
+           (List.rev !Scaling.bench_records))
+      ();
     Format.printf "@.%s@."
       (if !Fig_tables.checks_failed = 0 then "RAW1 checks passed."
        else
          Printf.sprintf "%d CHECKS FAILED — see MISMATCH lines above."
            !Fig_tables.checks_failed);
     exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
+  end;
+  (* `mut` runs only MUT1 and replaces its `(after)` rows, keeping the
+     `(before)` rows that record the cost of whole-closure recompute
+     (see EXPERIMENTS.md, MUT1). *)
+  if Array.exists (String.equal "mut") Sys.argv then begin
+    Mut_bench.run ();
+    write_metrics
+      ~entries:
+        (merge_entries
+           ~stale:(fun fs ->
+             List.assoc_opt "experiment" fs
+             = Some (Telemetry.Json.String "MUT1")
+             && not (Mut_bench.before_row fs))
+           (List.rev !Scaling.bench_records))
+      ();
+    exit 0
   end;
   Fig_tables.run ();
   Scaling.run ();
@@ -119,6 +138,7 @@ let () =
   Store_bench.run ();
   Packed_bench.run ();
   Raw_bench.run ();
+  Mut_bench.run ();
   Srv_bench.run ();
   Cluster_bench.run ();
   Becha.run ();

@@ -39,6 +39,15 @@ let union_into ~into src =
   done;
   !changed
 
+(* Bits past [src.len] in its last word are always clear, so whole-word
+   ors cannot add anything outside [src]'s universe. *)
+let union_into_prefix ~into src =
+  if src.len > into.len then
+    invalid_arg "Bitset.union_into_prefix: source universe is larger";
+  for w = 0 to Array.length src.words - 1 do
+    into.words.(w) <- into.words.(w) lor src.words.(w)
+  done
+
 let inter a b =
   if a.len <> b.len then invalid_arg "Bitset.inter: universe mismatch";
   let r = create a.len in

@@ -30,6 +30,14 @@ val mem : t -> int -> bool
     @raise Invalid_argument on universe mismatch. *)
 val union_into : into:t -> t -> bool
 
+(** [union_into_prefix ~into src] adds every element of [src] to [into],
+    where [src]'s universe may be smaller than [into]'s: word-level, in
+    [O(length src / word size)].  The append-only closure rows use it,
+    since a base's row lives in a smaller universe than its derived
+    class's.
+    @raise Invalid_argument when [src]'s universe is larger. *)
+val union_into_prefix : into:t -> t -> unit
+
 (** [inter a b] is a fresh set holding the intersection. *)
 val inter : t -> t -> t
 

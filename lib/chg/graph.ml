@@ -18,13 +18,22 @@ let member_is_static_like m =
 type base = { b_class : int; b_kind : edge_kind; b_access : access }
 type class_id = int
 
+(* Snapshots of a growing hierarchy share append-only backing arrays
+   (see {!Append_only}): a snapshot reads only classes [0, n), and only
+   the newest snapshot of a lineage appends, writing slot [n] in place.
+   Written slots of [names], [base_edges] and [member_arrays] never
+   change; a member change copies the [member_arrays] spine instead.  The
+   one exception is [derived_rev], whose lists grow at the head on
+   append: readers skip the entries of classes they do not have. *)
 type t = {
+  n : int;
   names : string array;
-  ids : (string, int) Hashtbl.t;
+  ids : (string, int) Hashtbl.t;  (* shared; ids >= n are not this graph's *)
   base_edges : base array array;
-  derived_edges : (int * edge_kind) list array;  (* reversed adjacency *)
+  derived_rev : (int * edge_kind) list array;  (* newest derived first *)
   member_arrays : member array array;
   num_edges : int;
+  filled : int Atomic.t;
 }
 
 type error =
@@ -52,19 +61,23 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 exception Error of error
 
-type class_rec = {
-  r_name : string;
-  r_bases : base list;
-  r_members : member list;
-}
+let empty () =
+  { n = 0; names = [||]; ids = Hashtbl.create 16; base_edges = [||];
+    derived_rev = [||]; member_arrays = [||]; num_edges = 0;
+    filled = Atomic.make 0 }
 
-type builder = {
-  mutable rev_classes : class_rec list;
-  b_ids : (string, int) Hashtbl.t;
-  mutable count : int;
-}
+let num_classes g = g.n
 
-let create_builder () = { rev_classes = []; b_ids = Hashtbl.create 16; count = 0 }
+let live g c =
+  if c < 0 || c >= g.n then invalid_arg "index out of bounds"
+
+let find_opt g name =
+  match Hashtbl.find_opt g.ids name with
+  | Some id when id < g.n -> Some id
+  | _ -> None
+
+let find g name =
+  match find_opt g name with Some id -> id | None -> raise Not_found
 
 let check_members cls members =
   let seen = Hashtbl.create 8 in
@@ -75,12 +88,12 @@ let check_members cls members =
       Hashtbl.add seen m.m_name ())
     members
 
-let add_class b name ~bases ~members =
-  if Hashtbl.mem b.b_ids name then raise (Error (Duplicate_class name));
+let append_class g name ~bases ~members =
+  if Option.is_some (find_opt g name) then raise (Error (Duplicate_class name));
   check_members name members;
   let seen_bases = Hashtbl.create 4 in
   let resolve (base_name, kind, acc) =
-    match Hashtbl.find_opt b.b_ids base_name with
+    match find_opt g base_name with
     | None -> raise (Error (Unknown_base { cls = name; base = base_name }))
     | Some id ->
       if Hashtbl.mem seen_bases base_name then
@@ -88,46 +101,46 @@ let add_class b name ~bases ~members =
       Hashtbl.add seen_bases base_name ();
       { b_class = id; b_kind = kind; b_access = acc }
   in
-  let resolved = List.map resolve bases in
-  let id = b.count in
-  Hashtbl.add b.b_ids name id;
-  b.count <- b.count + 1;
-  b.rev_classes <-
-    { r_name = name; r_bases = resolved; r_members = members } :: b.rev_classes;
-  id
+  let resolved = Array.of_list (List.map resolve bases) in
+  let id = g.n in
+  Append_only.claim ~what:"Graph.append_class" g.filled id;
+  let grow a fill = Append_only.grow a id fill in
+  let g =
+    { g with names = grow g.names ""; base_edges = grow g.base_edges [||];
+             member_arrays = grow g.member_arrays [||];
+             derived_rev = grow g.derived_rev [] }
+  in
+  g.names.(id) <- name;
+  Hashtbl.replace g.ids name id;
+  g.base_edges.(id) <- resolved;
+  g.member_arrays.(id) <- Array.of_list members;
+  Array.iter
+    (fun e ->
+      g.derived_rev.(e.b_class) <- (id, e.b_kind) :: g.derived_rev.(e.b_class))
+    resolved;
+  { g with n = id + 1; num_edges = g.num_edges + Array.length resolved }
 
-let add_member b cls m =
-  if not (Hashtbl.mem b.b_ids cls) then raise (Error (Unknown_class cls));
-  b.rev_classes <-
-    List.map
-      (fun r ->
-        if String.equal r.r_name cls then begin
-          if List.exists (fun m' -> String.equal m'.m_name m.m_name) r.r_members
-          then raise (Error (Duplicate_member { cls; member = m.m_name }));
-          { r with r_members = r.r_members @ [ m ] }
-        end
-        else r)
-      b.rev_classes
+let append_member g cls m =
+  match find_opt g cls with
+  | None -> raise (Error (Unknown_class cls))
+  | Some c ->
+    let ms = g.member_arrays.(c) in
+    if Array.exists (fun m' -> String.equal m'.m_name m.m_name) ms then
+      raise (Error (Duplicate_member { cls; member = m.m_name }));
+    let member_arrays = Array.copy g.member_arrays in
+    member_arrays.(c) <- Array.append ms [| m |];
+    { g with member_arrays }
 
-let freeze b =
-  let recs = Array.of_list (List.rev b.rev_classes) in
-  let n = Array.length recs in
-  let names = Array.map (fun r -> r.r_name) recs in
-  let ids = Hashtbl.copy b.b_ids in
-  let base_edges = Array.map (fun r -> Array.of_list r.r_bases) recs in
-  let member_arrays = Array.map (fun r -> Array.of_list r.r_members) recs in
-  let derived_edges = Array.make n [] in
-  let num_edges = ref 0 in
-  (* Walk derived classes in reverse so each adjacency list ends up in
-     declaration order of the derived classes. *)
-  for c = n - 1 downto 0 do
-    Array.iter
-      (fun e ->
-        incr num_edges;
-        derived_edges.(e.b_class) <- (c, e.b_kind) :: derived_edges.(e.b_class))
-      base_edges.(c)
-  done;
-  { names; ids; base_edges; derived_edges; member_arrays; num_edges = !num_edges }
+type builder = { mutable snap : t }
+
+let create_builder () = { snap = empty () }
+
+let add_class b name ~bases ~members =
+  b.snap <- append_class b.snap name ~bases ~members;
+  b.snap.n - 1
+
+let add_member b cls m = b.snap <- append_member b.snap cls m
+let freeze b = b.snap
 
 type decl = {
   d_name : string;
@@ -191,33 +204,40 @@ let member ?(kind = Data) ?(static = false) ?(virtual_ = false)
   { m_name = name; m_kind = kind; m_static = static; m_virtual = virtual_;
     m_access = access }
 
-let num_classes g = Array.length g.names
 let num_edges g = g.num_edges
-let name g c = g.names.(c)
-let find g n = Hashtbl.find g.ids n
-let find_opt g n = Hashtbl.find_opt g.ids n
-let bases g c = Array.to_list g.base_edges.(c)
-let derived g c = g.derived_edges.(c)
-let members g c = Array.to_list g.member_arrays.(c)
+let name g c = live g c; g.names.(c)
+let bases g c = live g c; Array.to_list g.base_edges.(c)
+
+(* Newest first, and possibly holding classes past [n]: drop those,
+   then restore declaration order. *)
+let derived g c =
+  live g c;
+  let rec drop = function
+    | (d, _) :: rest when d >= g.n -> drop rest
+    | l -> l
+  in
+  List.rev (drop g.derived_rev.(c))
+
+let member_array g c = live g c; g.member_arrays.(c)
+let members g c = Array.to_list (member_array g c)
 
 let find_member g c m =
-  Array.find_opt (fun mem -> String.equal mem.m_name m) g.member_arrays.(c)
+  Array.find_opt (fun mem -> String.equal mem.m_name m) (member_array g c)
 
 let declares g c m = Option.is_some (find_member g c m)
 
 let member_names g =
   let seen = Hashtbl.create 16 in
   let out = ref [] in
-  Array.iter
-    (fun ms ->
-      Array.iter
-        (fun m ->
-          if not (Hashtbl.mem seen m.m_name) then begin
-            Hashtbl.add seen m.m_name ();
-            out := m.m_name :: !out
-          end)
-        ms)
-    g.member_arrays;
+  for c = 0 to g.n - 1 do
+    Array.iter
+      (fun m ->
+        if not (Hashtbl.mem seen m.m_name) then begin
+          Hashtbl.add seen m.m_name ();
+          out := m.m_name :: !out
+        end)
+      g.member_arrays.(c)
+  done;
   List.rev !out
 
 let classes g = List.init (num_classes g) Fun.id

@@ -63,7 +63,39 @@ val error_to_string : error -> string
 
 exception Error of error
 
-(** Mutable builder.  Classes must be added bases-first, mirroring the C++
+(** {2 Persistent growth}
+
+    Each graph is an immutable snapshot, and growing one by a class or a
+    member yields a new snapshot without rebuilding the old one: the
+    snapshots of a growing hierarchy share their per-class arrays, and
+    each reads only its own classes.  A service publishes one snapshot
+    per mutation this way.  Only the newest snapshot of a hierarchy can
+    gain a class; every snapshot stays readable. *)
+
+(** [empty ()] is the graph with no classes. *)
+val empty : unit -> t
+
+(** [append_class g name ~bases ~members] is [g] plus one class, whose id
+    is [num_classes g]; [bases] and [members] as for {!add_class}.
+    Amortized [O(|bases| + |members|)]; [g] is unchanged.
+    @raise Error like {!add_class}.
+    @raise Invalid_argument when a class was already appended to [g]. *)
+val append_class :
+  t ->
+  string ->
+  bases:(string * edge_kind * access) list ->
+  members:member list ->
+  t
+
+(** [append_member g cls m] is [g] with [m] appended to the members of
+    [cls].  Copies the per-class member spine (one pointer per class) and
+    [cls]'s own member array; [g] is unchanged.
+    @raise Error on unknown class or duplicate member name. *)
+val append_member : t -> string -> member -> t
+
+(** {2 Builder}
+
+    Mutable builder.  Classes must be added bases-first, mirroring the C++
     requirement that a base class be complete at its point of use. *)
 type builder
 
@@ -89,8 +121,8 @@ val add_class :
     @raise Error on unknown class or duplicate member name. *)
 val add_member : builder -> string -> member -> unit
 
-(** [freeze b] produces the immutable graph.  The builder may keep being
-    extended afterwards; frozen graphs are snapshots. *)
+(** [freeze b] produces the immutable graph, in [O(1)].  The builder may
+    keep being extended afterwards; frozen graphs are snapshots. *)
 val freeze : builder -> t
 
 (** A declaration, for order-independent construction. *)

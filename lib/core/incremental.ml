@@ -1,197 +1,137 @@
 open Abstraction
 
-type row = {
-  r_bases : (int * Chg.Graph.edge_kind) list;  (* resolved direct bases *)
-  r_members : (string, Chg.Graph.member) Hashtbl.t;  (* declared here *)
-  r_verdicts : (string, Engine.verdict) Hashtbl.t;  (* Members[C] keyed *)
-  r_vbases : Chg.Bitset.t;  (* virtual bases of this class *)
-  r_bases_set : Chg.Bitset.t;  (* strict bases *)
-}
-
+(* The hierarchy itself — graph snapshot and closure rows — is the shared
+   append-only closure [cl]; this module adds only the verdict rows. *)
 type t = {
   static_rule : bool;
-  builder : Chg.Graph.builder;  (* kept in lockstep for snapshots *)
-  mutable rows : row array;  (* grow-doubling; first [count] are live *)
-  mutable count : int;
-  ids : (string, int) Hashtbl.t;
-  mutable capacity : int;
+  mutable cl : Chg.Closure.t;  (* its graph is the current snapshot *)
+  mutable rows : (string, Engine.verdict) Hashtbl.t array;
+      (* Members[C]-keyed verdicts; grow-doubling, first [num_classes]
+         are live *)
   metrics : Metrics.t;
 }
 
-let create ?(static_rule = true) ?(metrics = Metrics.disabled) () =
-  { static_rule;
-    builder = Chg.Graph.create_builder ();
-    rows = [||];
-    count = 0;
-    ids = Hashtbl.create 16;
-    capacity = 0;
-    metrics }
-
-let num_classes t = t.count
-let find t name = Hashtbl.find t.ids name
+let graph t = Chg.Closure.graph t.cl
+let closure t = t.cl
+let snapshot = graph
+let num_classes t = Chg.Graph.num_classes (graph t)
+let find t name = Chg.Graph.find (graph t) name
 
 let row t c =
-  if c < 0 || c >= t.count then invalid_arg "Incremental: bad class id";
+  if c < 0 || c >= num_classes t then invalid_arg "Incremental: bad class id";
   t.rows.(c)
-
-(* Bitsets are fixed-capacity; classes only ever refer to earlier classes,
-   so per-row sets sized to the row's own id suffice: row i's sets live in
-   universe [0..i]. *)
-let is_virtual_base t x y =
-  if y >= t.count || x >= t.count then false
-  else x < Chg.Bitset.length (row t y).r_vbases
-       && Chg.Bitset.mem (row t y).r_vbases x
-
-let ensure_capacity t =
-  if t.count = t.capacity then begin
-    let cap = max 8 (t.capacity * 2) in
-    let fresh = Array.make cap None in
-    Array.iteri (fun i r -> fresh.(i) <- Some r) (Array.sub t.rows 0 t.count);
-    t.rows <-
-      Array.map
-        (function
-          | Some r -> r
-          | None ->
-            (* placeholder rows beyond [count] are never read *)
-            { r_bases = [];
-              r_members = Hashtbl.create 1;
-              r_verdicts = Hashtbl.create 1;
-              r_vbases = Chg.Bitset.create 0;
-              r_bases_set = Chg.Bitset.create 0 })
-        fresh;
-    t.capacity <- cap
-  end
 
 (* One Figure-8 combine for member [mname] at live row [id], reading the
    current verdicts of the row's direct bases.  Shared between the
    add_class path (fresh row, verdicts computed once) and the add_member
    path (existing rows whose column must be recomputed). *)
 let recompute_member t id mname =
+  let g = graph t in
   let r = row t id in
   Metrics.bump t.metrics t.metrics.Metrics.incr_row_members;
-  if Hashtbl.mem r.r_members mname then begin
+  if Chg.Graph.declares g id mname then begin
     Metrics.bump t.metrics t.metrics.Metrics.declared_kills;
     Metrics.bump t.metrics t.metrics.Metrics.red_verdicts;
-    Hashtbl.replace r.r_verdicts mname
-      (Engine.Red { r_ldc = id; r_lvs = [ Omega ] })
+    Hashtbl.replace r mname (Engine.Red { r_ldc = id; r_lvs = [ Omega ] })
   end
   else begin
     let incoming =
       List.filter_map
-        (fun (x, kind) ->
+        (fun (b : Chg.Graph.base) ->
           Metrics.bump t.metrics t.metrics.Metrics.edge_traversals;
-          match Hashtbl.find_opt (row t x).r_verdicts mname with
+          let x = b.b_class in
+          match Hashtbl.find_opt (row t x) mname with
           | None -> None
           | Some (Engine.Red red) ->
             Metrics.bump_n t.metrics t.metrics.Metrics.o_extensions
               (List.length red.r_lvs);
-            Some (Engine.Red (extend_red red x kind), None)
+            Some (Engine.Red (extend_red red x b.b_kind), None)
           | Some (Engine.Blue s) ->
             Metrics.bump_n t.metrics t.metrics.Metrics.o_extensions
               (List.length s);
-            Some (Engine.Blue (extend_blue s x kind), None))
-        r.r_bases
+            Some (Engine.Blue (extend_blue s x b.b_kind), None))
+        (Chg.Graph.bases g id)
     in
     match incoming with
-    | [] -> Hashtbl.remove r.r_verdicts mname
+    | [] -> Hashtbl.remove r mname
     | _ ->
-      (* is_static_at is only ever called with ldcs of incoming
-         definitions, which are earlier (live) classes *)
       let is_static_at l =
         t.static_rule
         &&
-        match Hashtbl.find_opt (row t l).r_members mname with
+        match Chg.Graph.find_member g l mname with
         | Some mem -> Chg.Graph.member_is_static_like mem
         | None -> false
       in
       let v, _ =
         Engine.combine_incoming ~metrics:t.metrics
-          ~vbase:(is_virtual_base t) ~is_static_at incoming
+          ~vbase:(Chg.Closure.is_virtual_base t.cl) ~is_static_at incoming
       in
-      Hashtbl.replace r.r_verdicts mname v
+      Hashtbl.replace r mname v
   end
 
-let add_class t name ~bases ~members =
-  (* Validate + record through the ordinary builder so all Graph.Error
-     cases behave identically. *)
-  let id = Chg.Graph.add_class t.builder name ~bases ~members in
-  assert (id = t.count);
-  ensure_capacity t;
-  Hashtbl.add t.ids name id;
-  let resolved_bases =
-    List.map (fun (bname, kind, _) -> (Hashtbl.find t.ids bname, kind)) bases
-  in
-  (* closure rows, universe [0..id] *)
-  let vbases = Chg.Bitset.create (id + 1) in
-  let bases_set = Chg.Bitset.create (id + 1) in
-  List.iter
-    (fun (b, kind) ->
-      Chg.Bitset.add bases_set b;
-      Chg.Bitset.iter (fun x -> Chg.Bitset.add bases_set x)
-        (row t b).r_bases_set;
-      (match kind with
-      | Chg.Graph.Virtual -> Chg.Bitset.add vbases b
-      | Chg.Graph.Non_virtual -> ());
-      Chg.Bitset.iter (fun x -> Chg.Bitset.add vbases x) (row t b).r_vbases)
-    resolved_bases;
-  let member_tbl = Hashtbl.create (max 4 (List.length members)) in
-  List.iter (fun (m : Chg.Graph.member) ->
-      Hashtbl.replace member_tbl m.m_name m)
-    members;
-  (* Members[C] = M[C] ∪ bases' Members; one combine per member name. *)
+(* The verdict row of class [id], whose closure row already exists:
+   Members[C] = M[C] ∪ bases' Members, one combine per member name. *)
+let fill_row t id =
+  let g = graph t in
+  if id >= Array.length t.rows then begin
+    let fresh = Array.make (max 8 (2 * id)) (Hashtbl.create 1) in
+    Array.blit t.rows 0 fresh 0 id;
+    t.rows <- fresh
+  end;
+  t.rows.(id) <- Hashtbl.create 16;
   let member_names = Hashtbl.create 16 in
-  List.iter (fun (m : Chg.Graph.member) ->
-      Hashtbl.replace member_names m.m_name ())
-    members;
   List.iter
-    (fun (b, _) ->
+    (fun (m : Chg.Graph.member) -> Hashtbl.replace member_names m.m_name ())
+    (Chg.Graph.members g id);
+  List.iter
+    (fun (b : Chg.Graph.base) ->
       Hashtbl.iter
         (fun mname _ -> Hashtbl.replace member_names mname ())
-        (row t b).r_verdicts)
-    resolved_bases;
+        t.rows.(b.b_class))
+    (Chg.Graph.bases g id);
   Metrics.bump t.metrics t.metrics.Metrics.incr_rows;
   Metrics.bump_n t.metrics t.metrics.Metrics.incr_closure_bits
-    (Chg.Bitset.cardinal bases_set + Chg.Bitset.cardinal vbases);
-  let r =
-    { r_bases = resolved_bases;
-      r_members = member_tbl;
-      r_verdicts = Hashtbl.create 16;
-      r_vbases = vbases;
-      r_bases_set = bases_set }
-  in
-  t.rows.(id) <- r;
-  t.count <- t.count + 1;
-  Hashtbl.iter (fun mname () -> recompute_member t id mname) member_names;
+    (Chg.Bitset.cardinal (Chg.Closure.bases_of t.cl id)
+     + Chg.Bitset.cardinal (Chg.Closure.virtual_bases_of t.cl id));
+  Hashtbl.iter (fun mname () -> recompute_member t id mname) member_names
+
+let of_closure ?(static_rule = true) ?(metrics = Metrics.disabled) cl =
+  let t = { static_rule; cl; rows = [||]; metrics } in
+  for id = 0 to num_classes t - 1 do
+    fill_row t id
+  done;
+  t
+
+let create ?static_rule ?metrics () =
+  of_closure ?static_rule ?metrics
+    (Chg.Closure.compute (Chg.Graph.empty ()))
+
+let add_class t name ~bases ~members =
+  let g = Chg.Graph.append_class (graph t) name ~bases ~members in
+  t.cl <- Chg.Closure.append t.cl g;
+  let id = num_classes t - 1 in
+  fill_row t id;
   id
 
 let add_member t cls (m : Chg.Graph.member) =
-  (* Validate + record through the builder (unknown class, duplicate
-     member) so snapshots stay in lockstep. *)
-  Chg.Graph.add_member t.builder cls m;
-  let c = Hashtbl.find t.ids cls in
-  Hashtbl.replace (row t c).r_members m.m_name m;
+  let g = Chg.Graph.append_member (graph t) cls m in
+  t.cl <- Chg.Closure.with_graph t.cl g;
+  let c = Chg.Graph.find g cls in
   (* Only [cls] and the classes derived from it can see the new
      declaration; their ids are all > c (topological id order), so one
      increasing sweep recomputes the member's column bases-first. *)
   let affected = ref 0 in
-  for j = c to t.count - 1 do
-    let rj = row t j in
-    if
-      j = c
-      || (c < Chg.Bitset.length rj.r_bases_set
-          && Chg.Bitset.mem rj.r_bases_set c)
-    then begin
+  for j = c to num_classes t - 1 do
+    if j = c || Chg.Closure.is_base t.cl c j then begin
       incr affected;
       recompute_member t j m.m_name
     end
   done;
   !affected
 
-let lookup t c m = Hashtbl.find_opt (row t c).r_verdicts m
+let lookup t c m = Hashtbl.find_opt (row t c) m
 
 let resolves_to t c m =
   match lookup t c m with
   | Some (Engine.Red r) -> Some r.r_ldc
   | Some (Engine.Blue _) | None -> None
-
-let snapshot t = Chg.Graph.freeze t.builder

@@ -5,8 +5,11 @@
     a program is processed declaration by declaration (as a compiler or
     an IDE does), each new class costs only its own row:
     [O(Members[C] * (1 + indegree))] amortized, never recomputing earlier
-    classes.  The closure information the dominance test needs (the
-    virtual-bases sets) is equally monotone and is grown in place.
+    classes.  The hierarchy itself — the graph snapshot and the closure
+    the dominance test needs — is one append-only {!Chg.Closure.t}: an
+    added class appends one closure row, an added member re-targets the
+    closure at the new snapshot without computing any row.  A service can
+    hand the same closure to its other engines ({!closure}).
 
     The table agrees with {!Engine.build} on the frozen graph after every
     insertion (property-tested). *)
@@ -21,6 +24,13 @@ type t
     row's bases and virtual-bases sets), plus the shared propagation
     units of each row's combines. *)
 val create : ?static_rule:bool -> ?metrics:Metrics.t -> unit -> t
+
+(** [of_closure ?static_rule ?metrics cl] computes the verdict rows of
+    every class of [Chg.Closure.graph cl], class by class as {!add_class}
+    would, but reusing [cl]'s rows instead of computing closure rows: the
+    engine starts out sharing [cl].  Counters as for the same sequence of
+    {!add_class} calls. *)
+val of_closure : ?static_rule:bool -> ?metrics:Metrics.t -> Chg.Closure.t -> t
 
 (** [add_class t name ~bases ~members] declares a class (bases must
     already be declared, as in C++) and computes its lookup-table row.
@@ -56,6 +66,10 @@ val num_classes : t -> int
     @raise Not_found if absent. *)
 val find : t -> string -> Chg.Graph.class_id
 
-(** [snapshot t] freezes the current hierarchy as a plain graph (used by
-    tests to compare against the batch engine). *)
+(** [closure t] is the current closure: after every mutation, a new
+    immutable value sharing the earlier rows. *)
+val closure : t -> Chg.Closure.t
+
+(** [snapshot t] is the current hierarchy as a plain graph, in [O(1)]:
+    [Chg.Closure.graph (closure t)]. *)
 val snapshot : t -> Chg.Graph.t

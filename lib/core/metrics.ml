@@ -47,6 +47,7 @@ let make ~enabled ~sink =
     spans = Telemetry.Span.make sink;
     sink }
 
+let closure_rows_computed = Chg.Closure.rows_computed
 let disabled = make ~enabled:false ~sink:Telemetry.Sink.null
 
 let create ?(trace = false) ?trace_limit () =

@@ -60,6 +60,14 @@ type t = {
   sink : Telemetry.Sink.t;
 }
 
+(** [closure_rows_computed ()] counts the closure rows built by this
+    process so far ({!Chg.Closure.rows_computed}): [Chg.Closure.compute]
+    builds one per class, an appended class one, a member mutation none.
+    Process-wide rather than per bag, since closures are built below the
+    engines, and kept out of {!counters} so every bag's exposition is
+    unchanged.  Tests read it before and after an operation. *)
+val closure_rows_computed : unit -> int
+
 (** [disabled] is the shared inert bag ([enabled = false], null sink).
     It is the default for every engine's [?metrics] argument. *)
 val disabled : t

@@ -81,48 +81,50 @@ let lv_code n = function
 
 let lv_of_code n k = if k = n then Omega else Lv k
 
+(* A growable arena: pack_column and column_append push slices onto it. *)
+type arena = { mutable a : int array; mutable alen : int }
+
+let push ar v =
+  if ar.alen = Array.length ar.a then begin
+    let fresh = Array.make (max 16 (2 * ar.alen)) 0 in
+    Array.blit ar.a 0 fresh 0 ar.alen;
+    ar.a <- fresh
+  end;
+  ar.a.(ar.alen) <- v;
+  ar.alen <- ar.alen + 1
+
+(* The entry of one verdict in an [n]-class column, pushing its arena
+   slice (if any) onto [ar]. *)
+let encode_entry n ar = function
+  | None -> tag_absent
+  | Some (Engine.Red { r_ldc; r_lvs = [ lv ] }) ->
+    if r_ldc < 0 || r_ldc >= n then invalid_arg "Packed: ldc out of range";
+    (((r_ldc * (n + 1)) + lv_code n lv) lsl 2) lor tag_red
+  | Some (Engine.Red { r_ldc; r_lvs }) ->
+    if r_ldc < 0 || r_ldc >= n then invalid_arg "Packed: ldc out of range";
+    let off = ar.alen in
+    push ar r_ldc;
+    push ar (List.length r_lvs);
+    List.iter (fun lv -> push ar (lv_code n lv)) r_lvs;
+    (off lsl 2) lor tag_red_group
+  | Some (Engine.Blue lvs) ->
+    let off = ar.alen in
+    push ar (List.length lvs);
+    List.iter (fun lv -> push ar (lv_code n lv)) lvs;
+    (off lsl 2) lor tag_blue
+
+(* (n+1)^2 must fit in an immediate int once shifted past the tag *)
+let check_classes n =
+  if n >= 1 lsl 30 then invalid_arg "Packed.pack_column: too many classes"
+
 let pack_column col =
   let n = Array.length col in
-  (* (n+1)^2 must fit in an immediate int once shifted past the tag *)
-  if n >= 1 lsl 30 then invalid_arg "Packed.pack_column: too many classes";
-  let entries = Array.make n 0 in
-  let arena = ref [||] in
-  let alen = ref 0 in
-  let push v =
-    if !alen = Array.length !arena then begin
-      let fresh = Array.make (max 16 (2 * !alen)) 0 in
-      Array.blit !arena 0 fresh 0 !alen;
-      arena := fresh
-    end;
-    !arena.(!alen) <- v;
-    incr alen
-  in
-  Array.iteri
-    (fun c v ->
-      entries.(c) <-
-        (match v with
-        | None -> tag_absent
-        | Some (Engine.Red { r_ldc; r_lvs = [ lv ] }) ->
-          if r_ldc < 0 || r_ldc >= n then
-            invalid_arg "Packed: ldc out of range";
-          (((r_ldc * (n + 1)) + lv_code n lv) lsl 2) lor tag_red
-        | Some (Engine.Red { r_ldc; r_lvs }) ->
-          if r_ldc < 0 || r_ldc >= n then
-            invalid_arg "Packed: ldc out of range";
-          let off = !alen in
-          push r_ldc;
-          push (List.length r_lvs);
-          List.iter (fun lv -> push (lv_code n lv)) r_lvs;
-          (off lsl 2) lor tag_red_group
-        | Some (Engine.Blue lvs) ->
-          let off = !alen in
-          push (List.length lvs);
-          List.iter (fun lv -> push (lv_code n lv)) lvs;
-          (off lsl 2) lor tag_blue))
-    col;
+  check_classes n;
+  let ar = { a = [||]; alen = 0 } in
+  let entries = Array.map (encode_entry n ar) col in
   { pc_classes = n;
     pc_entries = Arr entries;
-    pc_arena = Arr (Array.sub !arena 0 !alen) }
+    pc_arena = Arr (Array.sub ar.a 0 ar.alen) }
 
 let column_get col c =
   let e = vget col.pc_entries c in
@@ -174,13 +176,56 @@ let column_resolve_code col c =
 
 let unpack_column col = Array.init col.pc_classes (column_get col)
 
-(* Appends are the add_class mutation path: the lv/ldc coding base is
-   the class count, so growing the universe re-encodes the column.  One
-   O(n) pass per mutation — the boxed representation's Array.append was
-   already O(n).  A mapped view materializes to the heap here: mutations
-   never write through to a snapshot file. *)
+(* Appends are the add_class mutation path.  The lv/ldc coding base is
+   the class count, so growing the universe from [n] to [n+1] re-encodes
+   the ints in place of a decode: a singleton red [ldc*(n+1)+lv] becomes
+   [ldc*(n+2)+lv'], and Ω's code [n] becomes [n+1] wherever it appears
+   (arena slice offsets and ldcs are unchanged).  The new class's entry
+   goes last, its slice at the arena's end — exactly where
+   [pack_column] would put it, so the result is bit-identical to
+   re-packing the unpacked column.  O(n) int work, no verdict boxed.  A
+   mapped view materializes to the heap here: mutations never write
+   through to a snapshot file. *)
 let column_append col v =
-  pack_column (Array.append (unpack_column col) [| v |])
+  let n = col.pc_classes in
+  check_classes (n + 1);
+  let recode k = if k = n then n + 1 else k in
+  let alen = vlen col.pc_arena in
+  let tail = { a = [||]; alen = 0 } in
+  let last = encode_entry (n + 1) tail v in
+  (* the new slice follows the old arena: shift its offset past it *)
+  let last = if last land 3 >= tag_red_group then last + (alen lsl 2) else last in
+  let arena = Array.make (alen + tail.alen) 0 in
+  (match col.pc_arena with
+  | Arr a -> Array.blit a 0 arena 0 alen
+  | Big _ ->
+    for i = 0 to alen - 1 do
+      arena.(i) <- vget col.pc_arena i
+    done);
+  Array.blit tail.a 0 arena alen tail.alen;
+  let recode_slice first len =
+    for i = first to first + len - 1 do
+      arena.(i) <- recode arena.(i)
+    done
+  in
+  let entries = Array.make (n + 1) last in
+  for c = 0 to n - 1 do
+    let e = vget col.pc_entries c in
+    let tag = e land 3 in
+    entries.(c) <-
+      (if tag = tag_red then begin
+         let x = e lsr 2 in
+         let ldc = x / (n + 1) and lv = x mod (n + 1) in
+         (((ldc * (n + 2)) + recode lv) lsl 2) lor tag_red
+       end
+       else begin
+         let off = e lsr 2 in
+         if tag = tag_red_group then recode_slice (off + 2) arena.(off + 1)
+         else if tag = tag_blue then recode_slice (off + 1) arena.(off);
+         e
+       end)
+  done;
+  { pc_classes = n + 1; pc_entries = Arr entries; pc_arena = Arr arena }
 
 (* Budgeted size: two flat int sequences plus the record, in bytes.
    Deliberately representation-independent — a mapped view charges the

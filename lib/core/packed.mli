@@ -89,8 +89,10 @@ val column_is_view : column -> bool
 
 (** [column_append col v] extends the column with one more class's
     verdict (the service's add_class path).  Lv/ldc codes are
-    base-[n+1], so this re-encodes: O(n), same as the boxed
-    [Array.append] it replaces. *)
+    base-[n+1], so this re-encodes the packed ints directly — O(n) int
+    work, no verdict decoded — and the result is bit-identical to
+    [pack_column (Array.append (unpack_column col) [|v|])].  A mapped
+    view materializes to the heap. *)
 val column_append : column -> Engine.verdict option -> column
 
 (** [column_bytes col] is the column's real resident size in bytes (its

@@ -481,10 +481,12 @@ let run ?(config = default_config) ?(semantics = Mro.Cpp) ?(locs = no_locs)
   if enabled Rule.Dead_member then
     List.iter
       (fun x ->
+        (* derived sets are computed on demand: once per declarer *)
+        let der = lazy (Closure.derived_of cl x) in
         List.iter
           (fun (mem : G.member) ->
             let m = mem.m_name in
-            let der = Closure.derived_of cl x in
+            let der = Lazy.force der in
             let n_der = Chg.Bitset.cardinal der in
             if n_der > 0 then begin
               let alive =

@@ -407,13 +407,12 @@ let handle_lint t s sem rules =
             | None -> fail P.Bad_request "unknown lint rule %S" id)
           ids)
   in
-  let g = Session.graph s in
   let findings =
     Lint.run
       ~config:{ Lint.default_config with rules }
       ~semantics:sem
       ~jobs:t.config.Session.jobs
-      (Chg.Closure.compute g)
+      (Session.closure s)
   in
   let errors, warnings, notes = Lint.summary findings in
   let per_rule =

@@ -46,8 +46,9 @@ type t = {
          mutation forces it; lookups are served by the memo and the
          compiled tables, which need only the frozen graph. *)
   cache : Table_cache.t;
-  mutable graph : G.t;  (* snapshot of [inc], refreshed per mutation *)
   mutable closure : Chg.Closure.t;
+      (* over the published graph snapshot; shared with [inc] once
+         forced: one append-only closure *)
   mutable memo : Memo.t;  (* read-through engine over the snapshot *)
   mutable epoch : int;  (* mutations applied so far *)
   mutable mro : (int * Mro.variant * Mro.t) list;
@@ -79,22 +80,11 @@ type t = {
 
 let fresh_memo t cl = Memo.create ?max_entries:t.config.memo_max_entries cl
 
-let refresh t =
-  t.graph <- Incremental.snapshot (Lazy.force t.inc);
-  t.closure <- Chg.Closure.compute t.graph;
+(* Publish the incremental engine's hierarchy after a mutation: its
+   closure is the session's, so the snapshot costs nothing to take. *)
+let publish t inc =
+  t.closure <- Incremental.closure inc;
   t.memo <- fresh_memo t t.closure
-
-let replay_into_incremental g =
-  let inc = Incremental.create () in
-  G.iter_classes g (fun c ->
-      ignore
-        (Incremental.add_class inc (G.name g c)
-           ~bases:
-             (List.map
-                (fun (b : G.base) -> (G.name g b.b_class, b.b_kind, b.b_access))
-                (G.bases g c))
-           ~members:(G.members g c)));
-  inc
 
 let intern t name =
   match Hashtbl.find_opt t.member_syms name with
@@ -124,11 +114,10 @@ let make ?(config = default_config) ~name ~epoch g =
   let t =
     { name;
       config;
-      inc = lazy (replay_into_incremental g);
+      inc = lazy (Incremental.of_closure closure);
       cache =
         Table_cache.create ~max_entries:config.table_max_entries
           ?max_bytes:config.table_max_bytes ();
-      graph = g;
       closure;
       memo = Memo.create ?max_entries:config.memo_max_entries closure;
       epoch;
@@ -160,7 +149,8 @@ let restore ?config ~name ~epoch ~columns g =
   t
 
 let name t = t.name
-let graph t = t.graph
+let graph t = Chg.Closure.graph t.closure
+let closure t = t.closure
 let epoch t = t.epoch
 let cache t = t.cache
 let compiled_columns t = Table_cache.columns t.cache
@@ -175,7 +165,7 @@ let count_verdict t = function
    the threshold is promoted — its full column materialized from the
    memo's cache — so later queries take the compiled path. *)
 let lookup t cls member =
-  match G.find_opt t.graph cls with
+  match G.find_opt (graph t) cls with
   | None -> Error cls
   | Some c ->
     Telemetry.Counter.incr t.lookups;
@@ -219,10 +209,13 @@ let symtab t =
     let st = Atomic.get t.symtab in
     if st.st_epoch = t.epoch then st
     else begin
+      let n = G.num_classes (graph t) in
       let st =
         { st_epoch = t.epoch;
           st_classes =
-            Array.init (G.num_classes t.graph) (fun c -> G.name t.graph c);
+            (* an add_member leaves the class names as they were *)
+            (if Array.length st.st_classes = n then st.st_classes
+             else Array.init n (fun c -> G.name (graph t) c));
           st_cols = Array.make t.member_count None }
       in
       Atomic.set t.symtab st;
@@ -260,7 +253,7 @@ let count_code t code =
    query.  On the path where the member's compiled column is cached in
    the symtab, this performs zero allocation. *)
 let lookup_code t ~cls ~member =
-  if cls < 0 || cls >= G.num_classes t.graph then Error `Bad_class
+  if cls < 0 || cls >= G.num_classes (graph t) then Error `Bad_class
   else if member < 0 || member >= t.member_count then Error `Bad_member
   else begin
     let st = symtab t in
@@ -280,7 +273,7 @@ let lookup_code t ~cls ~member =
         (* promote into the symtab so the next id-lookup is int-only *)
         (match Table_cache.peek t.cache name with
         | Some col
-          when Packed.column_classes col = G.num_classes t.graph
+          when Packed.column_classes col = G.num_classes (graph t)
                && member < Array.length st.st_cols ->
           st.st_cols.(member) <- Some col
         | _ -> ());
@@ -299,14 +292,14 @@ let mro_table t v =
   with
   | Some (_, _, tbl) -> tbl
   | None ->
-    let tbl = Mro.compute v t.graph in
+    let tbl = Mro.compute v (graph t) in
     t.mro <-
       (t.epoch, v, tbl)
       :: List.filter (fun (e, _, _) -> e = t.epoch) t.mro;
     tbl
 
 let mro_lookup t v cls member =
-  match G.find_opt t.graph cls with
+  match G.find_opt (graph t) cls with
   | None -> Error cls
   | Some c ->
     Telemetry.Counter.incr t.lookups;
@@ -315,11 +308,13 @@ let mro_lookup t v cls member =
     count_verdict t verdict;
     Ok verdict
 
-(* Mutations go to the incremental engine — its rows update in place,
-   never recomputed from scratch — then the snapshot-facing state
-   refreshes: a new frozen graph, its closure, and an empty memo (the
-   old memo's entries would be reindexed anyway; the compiled tables
-   carry the warmth across mutations). *)
+(* Mutations go to the incremental engine, which updates in place only
+   what changed: a new class appends one verdict row, one closure row and
+   one graph slot; a new member recomputes that member's verdicts at the
+   class and its derived classes, and computes no closure row.  The
+   session then publishes the engine's closure and graph snapshots and
+   starts an empty memo (the compiled tables carry the warmth across
+   mutations). *)
 
 let add_class t ~cls ~bases ~members =
   let inc = Lazy.force t.inc in
@@ -327,7 +322,7 @@ let add_class t ~cls ~bases ~members =
   List.iter (fun (m : G.member) -> ignore (intern t m.G.m_name)) members;
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  refresh t;
+  publish t inc;
   (* Every resident column gains exactly one entry: the new class's
      verdict, already computed by the incremental row — extension, not
      invalidation. *)
@@ -336,11 +331,12 @@ let add_class t ~cls ~bases ~members =
   id
 
 let add_member t ~cls member =
-  let rows = Incremental.add_member (Lazy.force t.inc) cls member in
+  let inc = Lazy.force t.inc in
+  let rows = Incremental.add_member inc cls member in
   ignore (intern t member.G.m_name);
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  refresh t;
+  publish t inc;
   (* Only the mutated member's column can have changed; drop exactly it. *)
   let invalidated = Table_cache.invalidate t.cache member.G.m_name in
   (rows, invalidated)
@@ -360,9 +356,9 @@ let stats_json t =
   in
   Chg.Json.Obj
     [ ("session", Chg.Json.String t.name);
-      ("classes", Chg.Json.Int (G.num_classes t.graph));
-      ("edges", Chg.Json.Int (G.num_edges t.graph));
-      ("members", Chg.Json.Int (List.length (G.member_names t.graph)));
+      ("classes", Chg.Json.Int (G.num_classes (graph t)));
+      ("edges", Chg.Json.Int (G.num_edges (graph t)));
+      ("members", Chg.Json.Int (List.length (G.member_names (graph t))));
       ("epoch", Chg.Json.Int t.epoch);
       ("domains", Chg.Json.Int t.config.jobs);
       ("counters", j_counters (counters t));
@@ -409,7 +405,7 @@ let register t registry =
   Telemetry.Registry.gauge registry ~labels
     ~help:"Classes in the session's hierarchy."
     "cxxlookup_session_classes"
-    (fun () -> G.num_classes t.graph);
+    (fun () -> G.num_classes (graph t));
   Telemetry.Registry.gauge registry ~labels
     ~help:"Entries in the memo engine's cache."
     "cxxlookup_session_memo_entries"

@@ -13,12 +13,15 @@
       [add_class] / [add_member] update it in place instead of rebuilding
       the table.
 
-    Mutations refresh the snapshot-facing state (frozen graph, closure,
-    an empty memo) and repair the compiled tables precisely: [add_class]
-    {e extends} every resident column by the new class's
-    already-computed verdict; [add_member] {e invalidates} exactly the
-    mutated member's column.  See DESIGN.md, "The compiled-table
-    cache". *)
+    The incremental engine and the session share one append-only
+    closure, whose graph is the published snapshot, so a mutation costs
+    what it changes: [add_class] appends one closure row and one graph
+    slot, [add_member] computes no closure row.  Each mutation publishes
+    the new snapshots with an empty memo, and repairs the compiled tables
+    precisely: [add_class] {e extends} every resident column by the new
+    class's already-computed verdict; [add_member] {e invalidates}
+    exactly the mutated member's column.  See DESIGN.md, "What a
+    mutation touches". *)
 
 type config = {
   promote_threshold : int;
@@ -43,9 +46,10 @@ val served_string : served -> string
 type t
 
 (** [create ?config ~name g] opens a session over [g].  The incremental
-    engine is materialized lazily — the class-by-class replay runs on
-    the first mutation, not at open time — so opening (and restoring
-    from a snapshot) costs only the closure computation. *)
+    engine is materialized lazily — its verdict rows are computed on the
+    first mutation, reusing the session's closure, not at open time — so
+    opening (and restoring from a snapshot) costs only the closure
+    computation. *)
 val create : ?config:config -> name:string -> Chg.Graph.t -> t
 
 (** [restore ?config ~name ~epoch ~columns g] reopens a session from
@@ -64,8 +68,14 @@ val restore :
 
 val name : t -> string
 
-(** [graph t] is the current frozen snapshot (refreshed per mutation). *)
+(** [graph t] is the current frozen snapshot (a new one per mutation,
+    sharing the earlier ones' per-class arrays). *)
 val graph : t -> Chg.Graph.t
+
+(** [closure t] is the closure over [graph t]: computed at open, then
+    shared with the incremental engine and grown by it (one row per added
+    class, none per added member). *)
+val closure : t -> Chg.Closure.t
 
 (** [epoch t] counts mutations applied so far. *)
 val epoch : t -> int
@@ -123,7 +133,8 @@ val mro_lookup :
   (Lookup_core.Engine.verdict option, string) result
 
 (** [add_class t ~cls ~bases ~members] — the incremental engine computes
-    just the new row; resident columns are extended, not dropped.
+    just the new verdict row and closure row; resident columns are
+    extended, not dropped.
     Returns the new class id.
     @raise Chg.Graph.Error like {!Lookup_core.Incremental.add_class}. *)
 val add_class :

@@ -161,6 +161,62 @@ let test_derived_closure () =
   Alcotest.(check (list int)) "derived of A" [ id "B"; id "C"; id "D" ]
     (Chg.Bitset.elements (Chg.Closure.derived_of cl (id "A")))
 
+(* Snapshots are persistent: growing the newest one in place leaves
+   every earlier snapshot answering as before, and an earlier snapshot
+   refuses to grow rather than clobber the newer one. *)
+let test_persistent_snapshots () =
+  let g = simple_diamond () in
+  let names g = List.map (G.name g) (G.classes g) in
+  let derived g c = List.map (fun (d, _) -> G.name g d) (G.derived g (G.find g c)) in
+  let cl = Chg.Closure.compute g in
+  let g1 = G.append_class g "E" ~bases:[ ("A", v, G.Public) ] ~members:[] in
+  let g2 = G.append_member g1 "A" (G.member "p") in
+  Alcotest.(check (list string)) "old snapshot unchanged" [ "A"; "B"; "C"; "D" ]
+    (names g);
+  Alcotest.(check (option int)) "old snapshot cannot find E" None
+    (G.find_opt g "E");
+  Alcotest.(check (list string)) "old derived of A" [ "B"; "C" ] (derived g "A");
+  Alcotest.(check (list string)) "new derived of A" [ "B"; "C"; "E" ]
+    (derived g1 "A");
+  Alcotest.(check int) "edges grow" (G.num_edges g + 1) (G.num_edges g1);
+  Alcotest.(check bool) "member only in the newer snapshot" true
+    ((not (G.declares g1 0 "p")) && G.declares g2 0 "p");
+  Alcotest.check_raises "an older snapshot cannot grow"
+    (Invalid_argument "Graph.append_class: only the newest snapshot can grow")
+    (fun () ->
+      ignore (G.append_class g "F" ~bases:[ ("D", nv, G.Public) ] ~members:[]));
+  Alcotest.(check (list string)) "the refusal changed nothing"
+    [ "A"; "B"; "C"; "D"; "E" ] (names g1);
+  (* the closure follows the graph: one row per appended class *)
+  let cl1 = Chg.Closure.append cl g1 in
+  Alcotest.check_raises "an older closure cannot grow"
+    (Invalid_argument "Closure.append: only the newest snapshot can grow")
+    (fun () -> ignore (Chg.Closure.append cl g1));
+  let g3 = G.append_class g2 "F" ~bases:[ ("D", nv, G.Public) ] ~members:[] in
+  let cl3 = Chg.Closure.append (Chg.Closure.with_graph cl1 g2) g3 in
+  let id = G.find g in
+  Alcotest.(check bool) "A is a virtual base of E" true
+    (Chg.Closure.is_virtual_base cl1 (id "A") 4);
+  Alcotest.(check bool) "B is a base of F, A a virtual one through C" true
+    (Chg.Closure.is_base cl3 (id "B") 5
+    && (not (Chg.Closure.is_virtual_base cl3 (id "B") 5))
+    && Chg.Closure.is_virtual_base cl3 (id "A") 5);
+  Alcotest.(check (list int)) "old closure: derived of A" [ 1; 2; 3 ]
+    (Chg.Bitset.elements (Chg.Closure.derived_of cl (id "A")));
+  List.iter
+    (fun (what, cl', g') ->
+      let fresh = Chg.Closure.compute g' in
+      G.iter_classes g' (fun x ->
+          G.iter_classes g' (fun y ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: is_base %d %d" what x y)
+                (Chg.Closure.is_base fresh x y) (Chg.Closure.is_base cl' x y);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: is_virtual_base %d %d" what x y)
+                (Chg.Closure.is_virtual_base fresh x y)
+                (Chg.Closure.is_virtual_base cl' x y))))
+    [ ("original", cl, g); ("appended", cl1, g1); ("appended twice", cl3, g3) ]
+
 let test_dot_output () =
   let g = simple_diamond () in
   let dot = Chg.Dot.to_dot g in
@@ -198,4 +254,6 @@ let suite =
       test_closure_deep_virtual;
     Alcotest.test_case "topological order" `Quick test_topo_order;
     Alcotest.test_case "derived closure" `Quick test_derived_closure;
+    Alcotest.test_case "persistent snapshots and closure rows" `Quick
+      test_persistent_snapshots;
     Alcotest.test_case "dot export" `Quick test_dot_output ]

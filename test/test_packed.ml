@@ -71,6 +71,56 @@ let prop_roundtrip =
 (* Ω coding: Ω maps to code n (one past the largest class id), so the
    extreme corners — ldc = n-1 with lv = Ω in the immediate singleton,
    Ω leading a blue/group arena slice — must round-trip exactly. *)
+(* The same columns as zero-copy views: the image payload's word area
+   copied into a Bigarray, as a mapped snapshot file would present it. *)
+let mapped cols =
+  let w = Chg.Binary.Writer.create () in
+  Packed.write_image w ~file_offset:0 cols;
+  let bytes = Chg.Binary.Writer.contents w in
+  let names, word_off = Packed.image_header (Chg.Binary.Reader.of_string bytes) in
+  let words = (String.length bytes - word_off) / 8 in
+  let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words in
+  for i = 0 to words - 1 do
+    buf.{i} <- Int64.to_int (String.get_int64_le bytes (word_off + (8 * i)))
+  done;
+  Packed.map_image buf ~names
+
+(* column_append re-encodes the packed ints directly; it must produce
+   exactly the bits of unpacking, appending and re-packing — for heap
+   columns and mapped views, for every shape of appended verdict (the
+   new class's own declaration, Ω and the new class id inside arena
+   slices), and twice in a row. *)
+let prop_column_append_matches_repack =
+  QCheck.Test.make ~count:300 ~name:"column_append = unpack/append/pack"
+    instance_arb (fun { Hiergen.Families.graph = g; _ } ->
+      let cols = Packed.columns (Packed.build (Chg.Closure.compute g)) in
+      let n = G.num_classes g in
+      let red ldc lvs = Some (Engine.Red { A.r_ldc = ldc; r_lvs = lvs }) in
+      let appended col =
+        [ None; red n [ A.Omega ]; red 0 [ A.Lv n ];
+          red (n - 1) [ A.Omega; A.Lv 0 ];
+          Some (Engine.Blue [ A.Omega; A.Lv n ]) ]
+        @ List.init n (Packed.column_get col)
+      in
+      let repack col v =
+        Packed.pack_column (Array.append (Packed.unpack_column col) [| v |])
+      in
+      let agrees col =
+        List.for_all
+          (fun v ->
+            let once = Packed.column_append col v in
+            Packed.column_equal once (repack col v)
+            && (not (Packed.column_is_view once))
+            && Packed.column_equal
+                 (Packed.column_append once (red n [ A.Omega ]))
+                 (repack (repack col v) (red n [ A.Omega ])))
+          (appended col)
+      in
+      List.for_all (fun (_, col) -> agrees col) cols
+      && List.for_all
+           (fun (_, col) -> Packed.column_is_view col && agrees col)
+           (mapped cols))
+
 let test_omega_edge_cases () =
   let red ldc lvs = Some (Engine.Red { A.r_ldc = ldc; r_lvs = lvs }) in
   let boxed =
@@ -159,7 +209,8 @@ let test_parallel_metrics_merge () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_packed_matches_eager_and_spec; prop_roundtrip ]
+    [ prop_packed_matches_eager_and_spec; prop_roundtrip;
+      prop_column_append_matches_repack ]
   @ [ Alcotest.test_case "Ω coding edge cases" `Quick test_omega_edge_cases;
       Alcotest.test_case "parallel determinism" `Quick
         test_parallel_determinism;

@@ -499,6 +499,114 @@ let prop_incremental_matches_batch =
             members)
         (G.classes g))
 
+(* Mutation traces against a resident session: after every step the
+   session's shared append-only closure must equal one computed from
+   scratch over its published graph, and every lookup must equal a fresh
+   engine's over that graph.  Compiled columns are promoted on first use,
+   so [add_class] also exercises column extension. *)
+type mutation_step =
+  | Step_class of int * int * bool * int  (* base picks, virtual, member *)
+  | Step_member of int * int  (* class pick, member *)
+
+let mutation_members = [ "m"; "n"; "p"; "q" ]
+
+let mutation_trace_gen =
+  QCheck.Gen.(
+    list_size (1 -- 8)
+      (frequency
+         [ ( 1,
+             map
+               (fun (a, b, v, m) -> Step_class (a, b, v, m))
+               (quad (int_bound 1000) (int_bound 1000) bool (int_bound 3)) );
+           ( 1,
+             map (fun (c, m) -> Step_member (c, m))
+               (pair (int_bound 1000) (int_bound 3)) ) ]))
+
+let pp_step = function
+  | Step_class (a, b, v, m) -> Printf.sprintf "class(%d,%d,%b,%d)" a b v m
+  | Step_member (c, m) -> Printf.sprintf "member(%d,%d)" c m
+
+let apply_step s k step =
+  let g = Service.Session.graph s in
+  let n = G.num_classes g in
+  try
+    match step with
+    | Step_class (a, b, v, m) ->
+      let bases =
+        List.sort_uniq compare [ a mod n; b mod n ]
+        |> List.map (fun x ->
+               ( G.name g x,
+                 (if v && x = a mod n then G.Virtual else G.Non_virtual),
+                 G.Public ))
+      in
+      ignore
+        (Service.Session.add_class s ~cls:(Printf.sprintf "T%d" k) ~bases
+           ~members:[ G.member (List.nth mutation_members m) ])
+    | Step_member (c, m) ->
+      ignore
+        (Service.Session.add_member s ~cls:(G.name g (c mod n))
+           (G.member (List.nth mutation_members m)))
+  with G.Error (G.Duplicate_member _) -> ()
+
+let closure_matches_scratch s =
+  let shared = Service.Session.closure s in
+  let g = Service.Session.graph s in
+  let fresh = Chg.Closure.compute g in
+  let n = G.num_classes g in
+  Chg.Closure.graph shared == g
+  && List.for_all
+       (fun x ->
+         Chg.Bitset.equal
+           (Chg.Closure.derived_of shared x)
+           (Chg.Closure.derived_of fresh x)
+         && List.for_all
+              (fun y ->
+                Chg.Closure.is_base shared x y = Chg.Closure.is_base fresh x y
+                && Chg.Closure.is_virtual_base shared x y
+                   = Chg.Closure.is_virtual_base fresh x y
+                && ((x < y) || not (Chg.Closure.is_virtual_base shared x y)))
+              (List.init n Fun.id))
+       (List.init n Fun.id)
+
+let lookups_match_fresh_engine s =
+  let g = Service.Session.graph s in
+  let eng = Engine.build (Chg.Closure.compute g) in
+  List.for_all
+    (fun c ->
+      List.for_all
+        (fun m ->
+          match Service.Session.lookup s (G.name g c) m with
+          | Ok (v, _) -> v = Engine.lookup eng c m
+          | Error _ -> false)
+        mutation_members)
+    (G.classes g)
+
+let prop_mutation_traces_match_scratch =
+  QCheck.Test.make ~count:150
+    ~name:"session mutations: shared closure and lookups = from scratch"
+    (QCheck.pair static_instance_arb
+       (QCheck.make mutation_trace_gen ~print:(fun l ->
+            String.concat "; " (List.map pp_step l))))
+    (fun ({ Hiergen.Families.graph = g; _ }, trace) ->
+      let s =
+        Service.Session.create
+          ~config:
+            { Service.Session.default_config with promote_threshold = 1 }
+          ~name:"p" g
+      in
+      (* compile a column or two before mutating *)
+      ignore (Service.Session.lookup s (G.name g 0) "m");
+      ignore (Service.Session.lookup s (G.name g 0) "n");
+      let ok = ref (closure_matches_scratch s && lookups_match_fresh_engine s) in
+      List.iteri
+        (fun k step ->
+          if !ok then begin
+            apply_step s k step;
+            ok := closure_matches_scratch s && lookups_match_fresh_engine s
+          end)
+        trace;
+      !ok)
+
 let prop_layout_size_accounting =
   (* Exact size accounting: every subobject contributes its own vptr (if
      its class is polymorphic) plus a word per non-static data member of
@@ -553,6 +661,7 @@ let suite =
       prop_access_dp_matches_enumeration;
       prop_witness_path_bounds_best;
       prop_incremental_matches_batch;
+      prop_mutation_traces_match_scratch;
       prop_emit_parse_roundtrip;
       prop_member_column_matches_table;
       prop_witness_is_maximal;

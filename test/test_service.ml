@@ -263,6 +263,38 @@ let test_session_add_member_invalidates () =
   Alcotest.(check bool) "nothing resident to invalidate" false invalidated2;
   check_all_lookups s
 
+(* A mutation builds only the closure rows it changes: none for an
+   added member (nor for the first mutation, which materializes the
+   incremental engine over the session's own closure), exactly one for
+   an added class.  Counts, not times, so a return to recomputing the
+   whole closure per mutation fails on any host. *)
+let test_session_mutation_closure_rows () =
+  let g =
+    (Hiergen.Families.random_dag ~n:300 ~max_bases:3 ~virtual_prob:0.2
+       ~declare_prob:0.2 ~members:[ "m"; "n"; "p" ] ~seed:5)
+      .Hiergen.Families.graph
+  in
+  let s = Session.create ~name:"rows" g in
+  let rows_of f =
+    let before = Lookup_core.Metrics.closure_rows_computed () in
+    ignore (f ());
+    Lookup_core.Metrics.closure_rows_computed () - before
+  in
+  Alcotest.(check int) "first add_member: 0 closure rows" 0
+    (rows_of (fun () -> Session.add_member s ~cls:"K7" (G.member "q")));
+  Alcotest.(check int) "add_member: 0 closure rows" 0
+    (rows_of (fun () -> Session.add_member s ~cls:"K150" (G.member "m2")));
+  Alcotest.(check int) "add_class: 1 closure row" 1
+    (rows_of (fun () ->
+         Session.add_class s ~cls:"Z"
+           ~bases:[ ("K299", G.Virtual, G.Public); ("K3", G.Non_virtual, G.Public) ]
+           ~members:[ G.member "m" ]));
+  Alcotest.(check int) "add_member after add_class: 0 closure rows" 0
+    (rows_of (fun () -> Session.add_member s ~cls:"Z" (G.member "n2")));
+  Alcotest.(check int) "301 classes" 301 (G.num_classes (Session.graph s));
+  Alcotest.(check bool) "the session's closure covers the new class" true
+    (Chg.Closure.is_virtual_base (Session.closure s) 299 300)
+
 (* ---- Protocol codec ---- *)
 
 let parse line =
@@ -698,6 +730,8 @@ let suite =
       test_session_add_class_extends_columns;
     Alcotest.test_case "add_member invalidates its column" `Quick
       test_session_add_member_invalidates;
+    Alcotest.test_case "mutations build only changed closure rows" `Quick
+      test_session_mutation_closure_rows;
     Alcotest.test_case "protocol parses every verb" `Quick
       test_protocol_parse_ok;
     Alcotest.test_case "protocol error codes" `Quick
