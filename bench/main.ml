@@ -32,10 +32,10 @@ let write_metrics ?entries () =
   Format.printf "@.wrote BENCH_lookup.json (%d sweep points)@."
     (List.length entries)
 
-(* The `raw` and `mut` quick modes rerun one experiment but keep every
-   other row: the existing file's entries minus the stale ones [stale]
-   selects, plus the fresh records.  A missing or unparseable file
-   degrades to the fresh rows alone. *)
+(* The `srv`, `raw` and `mut` quick modes rerun one experiment but keep
+   every other row: the existing file's entries minus the stale ones
+   [stale] selects, plus the fresh records.  A missing or unparseable
+   file degrades to the fresh rows alone. *)
 let merge_entries ~stale fresh =
   let kept =
     match
@@ -79,10 +79,18 @@ let () =
     exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
   end;
   (* `srv` runs only the networked-server experiment (seconds, for
-     iterating on the server) and leaves BENCH_lookup.json alone; the
-     full run below includes it and regenerates the file. *)
+     iterating on the server) and replaces its SRV1 rows in
+     BENCH_lookup.json, keeping every other row. *)
   if Array.exists (String.equal "srv") Sys.argv then begin
     Srv_bench.run ();
+    write_metrics
+      ~entries:
+        (merge_entries
+           ~stale:(fun fs ->
+             List.assoc_opt "experiment" fs
+             = Some (Telemetry.Json.String "SRV1"))
+           (List.rev !Scaling.bench_records))
+      ();
     exit 0
   end;
   (* `clu` runs only the cluster experiment (router + replicas), for

@@ -918,22 +918,14 @@ let serve_cmd =
              all connections; past it requests are answered with \
              explicit overloaded errors, never buffered.")
   in
-  let conn_queue =
-    Arg.(
-      value & opt int Net.Server.default_config.Net.Server.conn_queue
-      & info [ "conn-queue" ] ~docv:"N"
-          ~doc:
-            "Per-connection pipeline bound (pending jobs / unsent \
-             responses); a full queue blocks that connection's socket \
-             reads so TCP pushes back.")
-  in
   let idle_timeout =
     Arg.(
       value & opt float Net.Server.default_config.Net.Server.idle_timeout
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Close a connection idle (or dribbling a partial line) this \
-             long.")
+            "Close a connection whose client sends nothing (or dribbles \
+             a partial line), or reads nothing of a pending response, \
+             this long.  Time spent executing a request is not counted.")
   in
   let max_line =
     Arg.(
@@ -962,7 +954,7 @@ let serve_cmd =
   in
   let run config trace store_dir store_config metrics_file metrics_interval
       request_log slow_ms listen unix_path workers max_conns queue_depth
-      conn_queue idle_timeout max_line replicate_listen replicate_unix =
+      idle_timeout max_line replicate_listen replicate_unix =
     let store =
       Option.map (fun dir -> Store.open_dir ~config:store_config dir) store_dir
     in
@@ -1016,8 +1008,8 @@ let serve_cmd =
     (match net_addr ~flag:"listen" listen unix_path with
     | Some addr ->
       let ncfg =
-        { Net.Server.workers; max_conns; queue_depth; conn_queue;
-          idle_timeout; max_line }
+        { Net.Server.workers; max_conns; queue_depth; idle_timeout;
+          max_line }
       in
       let net = Net.Server.create ~config:ncfg srv addr in
       (* signal handlers only set a flag; the accept loop polls it and
@@ -1093,7 +1085,7 @@ let serve_cmd =
     Term.(const run $ service_config_term $ trace $ store_dir
           $ store_config_term $ metrics_file $ metrics_interval
           $ request_log $ slow_ms $ listen $ unix_sock_term $ workers
-          $ max_conns $ queue_depth $ conn_queue $ idle_timeout
+          $ max_conns $ queue_depth $ idle_timeout
           $ max_line $ replicate_listen $ replicate_unix)
 
 let connect_term =

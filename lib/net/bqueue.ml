@@ -1,13 +1,10 @@
-(* A bounded blocking queue: the backpressure primitive of the
-   networked server.
+(* A bounded blocking queue: the hand-off from the networked server's
+   accept loop to its worker domains, one mailbox per worker.
 
-   Each connection runs a small pipeline (reader → executor → writer)
-   joined by these queues, and every queue has a hard capacity — the
-   server never buffers without limit.  A full queue blocks the
-   producer: the reader thread stops consuming bytes (so TCP pushes
-   back on the client), or the executor stalls behind a slow consumer.
-   [close] drains cooperatively: producers are refused, consumers keep
-   popping until the queue is empty, then see [None]. *)
+   Every queue has a hard capacity — the server never buffers without
+   limit — and a full queue blocks the producer.  [close] drains
+   cooperatively: producers are refused, consumers keep popping until
+   the queue is empty, then see [None]. *)
 
 type 'a t = {
   m : Mutex.t;

@@ -6,34 +6,37 @@ module P = Service.Protocol
 
    Topology: the accept loop runs on the calling domain; [workers]
    spawned domains each own a mailbox of freshly accepted connections,
-   filled round-robin.  A worker runs every connection assigned to it
-   on three systhreads — reader, executor, writer — which attach to
-   the worker's domain: blocking I/O releases the domain's runtime
-   lock, so connection pipelines interleave within a domain while
-   executors on different domains run OCaml code in parallel.
+   filled round-robin.  A worker serves every connection assigned to
+   it on one systhread of its own, attached to the worker's domain:
+   that thread reads a complete message, executes it, writes the
+   response and reads the next.  Blocking I/O releases the domain's
+   runtime lock, so connections interleave within a domain while
+   requests on different domains run OCaml code in parallel.
 
    Concurrency contract: every verb is classified by
    [Service.Protocol.read_only].  Read verbs execute under the shared
    side of one server-wide {!Rwlock} — concurrently across domains,
    against immutable packed columns — while mutations take it
    exclusive, the single-writer path owning the session table and the
-   WAL.  Per-connection execution is serial (one executor), so
-   responses leave in request order and a single-connection transcript
-   is byte-identical to stdin/stdout mode.
+   WAL.  Per-connection execution is serial, so responses leave in
+   request order and a single-connection transcript is byte-identical
+   to stdin/stdout mode.
 
-   Backpressure: the per-connection job and output queues are bounded
-   ({!Bqueue}); a full job queue blocks the reader (TCP pushes back on
-   the client), a full output queue stalls only that connection's
-   executor.  Globally, at most [queue_depth] admitted requests
-   execute at once — request [queue_depth + 1] is answered with an
-   explicit [overloaded] protocol error, never buffered.
+   Backpressure: a connection's thread reads its next request only
+   after writing the previous response, so a client that stops reading
+   stops its own reads and TCP pushes back — with no queue in between.
+   The write happens outside the lock and the admission bound, so a
+   slow consumer holds neither.  Globally, at most [queue_depth]
+   admitted requests execute at once — request [queue_depth + 1] is
+   answered with an explicit [overloaded] protocol error, never
+   buffered.
 
    Robustness: a line longer than [max_line] is discarded to its
    newline and answered [bad_request] in arrival order, without
-   killing the connection.  A connection that stays silent — or dribbles
-   a partial line (slowloris) — past [idle_timeout] is closed cleanly:
-   pending responses still drain, then the socket closes and the
-   timed-out counter ticks. *)
+   killing the connection.  A connection whose client stays silent —
+   or dribbles a partial line (slowloris) — or reads nothing of a
+   response for [idle_timeout] is closed cleanly and the timed-out
+   counter ticks; time spent executing a request never counts. *)
 
 type addr = Tcp of string * int | Unix_path of string
 
@@ -41,8 +44,7 @@ type config = {
   workers : int;
   max_conns : int;
   queue_depth : int;  (* global admission bound *)
-  conn_queue : int;  (* per-connection job / output queue bound *)
-  idle_timeout : float;  (* seconds; also the slowloris deadline *)
+  idle_timeout : float;  (* seconds: client silence, slowloris, stalled write *)
   max_line : int;  (* bytes, excluding the newline *)
 }
 
@@ -50,7 +52,6 @@ let default_config =
   { workers = 1;
     max_conns = 64;
     queue_depth = 64;
-    conn_queue = 16;
     idle_timeout = 30.;
     max_line = 1 lsl 20 }
 
@@ -83,8 +84,8 @@ let resolve_host host =
 
 (* A peer that vanished (kill -9, RST) must surface as EPIPE on the
    write path, not as a process-killing SIGPIPE — the replication
-   sender and the per-connection writers all write to sockets whose
-   peer may be gone. *)
+   sender and every connection thread write to sockets whose peer may
+   be gone. *)
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
@@ -140,39 +141,140 @@ let addr_string = function
     Printf.sprintf "%s:%d" (if host = "" then "127.0.0.1" else host) port
   | Unix_path path -> path
 
-(* ---- per-connection pipeline ---------------------------------------- *)
+(* ---- one thread per connection -------------------------------------- *)
 
-type job =
+(* One complete message, as {!serve_conn}'s framing delivers it. *)
+type msg =
   | Line of string  (* one complete framed request line *)
   | Oversized of int  (* a discarded line and its observed length *)
   | Frame of string  (* one complete binary (1b) frame, header included *)
   | Oversized_frame of int  (* a discarded frame and its declared length *)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
-(* Reader: dual framing directly over the socket.  At each message
-   boundary the first byte chooses: 0xB1 starts a binary (1b) frame —
-   6-byte header, then exactly the declared payload — anything else is
-   a JSON line up to its newline.  Negotiation is per message, so one
-   connection may interleave framings freely.
+(* The lock class and metric verb of a frame, from its op byte alone —
+   no payload decode needed before admission. *)
+let frame_read_only op =
+  op = Service.Frame.op_lookup
+  || op = Service.Frame.op_batch_lookup
+  || op = Service.Frame.op_symbols
 
-   Guards, shared across framings.  Max-line: a line over the bound is
-   discarded to its newline and reported as one [Oversized] job; a
-   frame declaring a payload over the same bound is discarded by its
-   known length ([Oversized_frame]) — the connection survives both, and
-   the error answers in arrival order through the same job queue.
+let frame_verb op =
+  if op = Service.Frame.op_lookup then "lookup"
+  else if op = Service.Frame.op_batch_lookup then "batch_lookup"
+  else if op = Service.Frame.op_add_member then "mutate"
+  else if op = Service.Frame.op_add_class then "mutate"
+  else if op = Service.Frame.op_symbols then "symbols"
+  else "invalid"
+
+(* [answer t ~conn msg] executes one message and returns its response
+   bytes.  Global admission happens here, after parsing: past
+   [queue_depth] admitted requests the verb is answered [overloaded]
+   through the server's reject path (so the rejection is counted,
+   logged and flight-recorded).  Both the verb-class lock and the
+   admission slot are released before the caller writes the response,
+   so a client that stops reading holds neither. *)
+let answer t ~conn msg =
+  let net = Service.Server.net t.srv in
+  let admit ~rejected run =
+    let admitted =
+      Atomic.fetch_and_add net.Service.Server.net_admitted 1
+      < t.cfg.queue_depth
+    in
+    if not admitted then begin
+      Atomic.decr net.Service.Server.net_admitted;
+      rejected
+        (Printf.sprintf "server at admission capacity (%d in flight); retry"
+           t.cfg.queue_depth)
+    end
+    else
+      Fun.protect
+        ~finally:(fun () -> Atomic.decr net.Service.Server.net_admitted)
+        run
+  in
+  let line j = J.to_string j ^ "\n" in
+  match msg with
+  | Oversized n ->
+    line
+      (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id:J.Null
+         P.Bad_request
+         (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n))
+  | Oversized_frame n ->
+    Service.Server.reject_frame ~conn t.srv ~verb:"invalid" ~id:0
+      P.Bad_request
+      (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
+         t.cfg.max_line n)
+  | Line l ->
+    (match P.parse_request l with
+    | Error (id, code, msg) ->
+      line (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id code msg)
+    | Ok rq ->
+      admit
+        ~rejected:(fun msg ->
+          line
+            (Service.Server.reject ~conn t.srv ~verb:(P.op_string rq.P.rq_op)
+               ~id:rq.P.rq_id P.Overloaded msg))
+        (fun () ->
+          let run () = Service.Server.handle_request ~conn t.srv rq in
+          line
+            (if P.read_only rq.P.rq_op then Rwlock.with_read t.lock run
+             else Rwlock.with_write t.lock run)))
+  | Frame f ->
+    let op = Char.code f.[1] in
+    admit
+      ~rejected:(fun msg ->
+        (* echo the id when the prefix survives — all the decode the
+           rejection path affords *)
+        let id =
+          match
+            Service.Frame.session_of_request
+              (String.sub f Service.Frame.header_len
+                 (String.length f - Service.Frame.header_len))
+          with
+          | Ok (id, _) -> id
+          | Error _ -> 0
+        in
+        Service.Server.reject_frame ~conn t.srv ~verb:(frame_verb op) ~id
+          P.Overloaded msg)
+      (fun () ->
+        let run () = Service.Server.handle_frame ~conn t.srv f in
+        if frame_read_only op then Rwlock.with_read t.lock run
+        else Rwlock.with_write t.lock run)
+
+(* [serve_conn t ~conn fd] serves one connection on the calling thread:
+   read a complete message, answer it, write the answer, read the next.
+   Execution is serial, so pipelined responses leave in request order
+   and a single-connection transcript is byte-identical to stdin mode.
+
+   Framing, directly over the socket: at each message boundary the
+   first byte chooses — 0xB1 starts a binary (1b) frame (6-byte header,
+   then exactly the declared payload), anything else a JSON line up to
+   its newline.  Negotiation is per message, so one connection may
+   interleave framings freely.
+
+   Max-line: a line over the bound is discarded to its newline and
+   answered as one [Oversized] message; a frame declaring a payload
+   over the same bound is discarded by its known length
+   ([Oversized_frame]) — the connection survives both, and the error
+   answers in arrival order.
+
    Idle / slowloris: the deadline arms at connection start and re-arms
-   only on each *complete* message, so a client dribbling bytes of a
-   never-finished line or frame times out exactly like a silent one.
-   Backpressure: a full job queue blocks here, which stops socket reads
-   and lets TCP push back. *)
-let reader t fd req_q timed_out () =
+   once a complete message has been answered and its response written,
+   so only client silence counts against it — never the time a request
+   spends executing — and a client dribbling bytes of a never-finished
+   line or frame times out exactly like a silent one.
+
+   Slow consumer: a client that stops reading blocks only its own
+   thread, in [write], outside the lock and the admission bound; that
+   thread reads nothing more from the client, so TCP pushes back.  Each
+   write is bounded by [idle_timeout] ([SO_SNDTIMEO]): one that makes
+   no progress for that long closes the connection as timed out. *)
+let serve_conn t ~conn fd =
   let buf = Bytes.create 4096 in
   let acc = Buffer.create 256 in
   let discarding = ref false in
@@ -188,16 +290,28 @@ let reader t fd req_q timed_out () =
   let frame_over = ref 0 in
   let deadline = ref (Unix.gettimeofday () +. t.cfg.idle_timeout) in
   let alive = ref true in
+  let time_out () =
+    Telemetry.Counter.incr
+      (Service.Server.net t.srv).Service.Server.net_timed_out
+  in
   let rearm () = deadline := Unix.gettimeofday () +. t.cfg.idle_timeout in
+  let respond msg =
+    let s = answer t ~conn msg in
+    (try write_all fd s
+     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) as e ->
+       (* SO_SNDTIMEO expired: the peer read nothing for [idle_timeout] *)
+       time_out ();
+       raise e);
+    rearm ()
+  in
   let emit_line () =
     let line = Buffer.contents acc in
     Buffer.clear acc;
-    rearm ();
     if !discarding then begin
       let n = !discarded + String.length line in
       discarding := false;
       discarded := 0;
-      if not (Bqueue.push req_q (Oversized n)) then alive := false
+      respond (Oversized n)
     end
     else begin
       let line =
@@ -206,17 +320,9 @@ let reader t fd req_q timed_out () =
         if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
         else line
       in
-      if String.trim line = "" then ()  (* blank lines skipped, as stdin *)
-      else if not (Bqueue.push req_q (Line line)) then alive := false
+      (* blank lines are skipped, as on stdin *)
+      if String.trim line = "" then rearm () else respond (Line line)
     end
-  in
-  let emit_frame () =
-    let f = Buffer.contents fbuf in
-    Buffer.clear fbuf;
-    in_frame := false;
-    frame_total := -1;
-    rearm ();
-    if not (Bqueue.push req_q (Frame f)) then alive := false
   in
   let frame_byte c =
     Buffer.add_char fbuf c;
@@ -237,211 +343,78 @@ let reader t fd req_q timed_out () =
         end
         else frame_total := Service.Frame.header_len + len
     end;
-    if !frame_total >= 0 && Buffer.length fbuf = !frame_total then
-      emit_frame ()
+    if !frame_total >= 0 && Buffer.length fbuf = !frame_total then begin
+      let f = Buffer.contents fbuf in
+      Buffer.clear fbuf;
+      in_frame := false;
+      frame_total := -1;
+      respond (Frame f)
+    end
   in
-  (try
-     while !alive do
-       let wait = !deadline -. Unix.gettimeofday () in
-       if wait <= 0. then begin
-         timed_out := true;
-         alive := false
-       end
-       else begin
-         match Unix.select [ fd ] [] [] wait with
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | [], _, _ -> ()  (* re-check the deadline *)
-         | _ ->
-           let n = try Unix.read fd buf 0 (Bytes.length buf) with
-             | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> 0
-           in
-           if n = 0 then alive := false
-           else
-             for i = 0 to n - 1 do
-               let c = Bytes.get buf i in
-               if !frame_skip > 0 then begin
-                 decr frame_skip;
-                 if !frame_skip = 0 then begin
-                   rearm ();
-                   if not (Bqueue.push req_q (Oversized_frame !frame_over))
-                   then alive := false
-                 end
-               end
-               else if !in_frame then frame_byte c
-               else if
-                 Buffer.length acc = 0 && (not !discarding)
-                 && Char.code c = Service.Frame.request_magic
-               then begin
-                 (* message boundary + 0xB1: binary framing this message *)
-                 in_frame := true;
-                 frame_total := -1;
-                 Buffer.clear fbuf;
-                 Buffer.add_char fbuf c
-               end
-               else
-                 match c with
-                 | '\n' -> emit_line ()
-                 | c ->
-                   if !discarding then incr discarded
-                   else begin
-                     Buffer.add_char acc c;
-                     if Buffer.length acc > t.cfg.max_line then begin
-                       (* switch to discard mode: the line is already
-                          over budget, stop accumulating its bytes *)
-                       discarding := true;
-                       discarded := Buffer.length acc;
-                       Buffer.clear acc
-                     end
-                   end
-             done
-       end
-     done
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.idle_timeout
    with Unix.Unix_error _ -> ());
   (* a torn partial line or frame at close is dropped, never executed *)
-  Bqueue.close req_q
-
-(* Executor: per-connection serial request execution — the property
-   that makes pipelined responses leave in request order and keeps a
-   single-connection transcript byte-identical to stdin mode.  Global
-   admission happens here, after parsing: past [queue_depth] admitted
-   requests the verb is answered [overloaded] through the server's
-   reject path (so the rejection is counted, logged and
-   flight-recorded), and the executor moves on. *)
-(* The lock class and metric verb of a frame, from its op byte alone —
-   no payload decode needed before admission. *)
-let frame_read_only op =
-  op = Service.Frame.op_lookup
-  || op = Service.Frame.op_batch_lookup
-  || op = Service.Frame.op_symbols
-
-let frame_verb op =
-  if op = Service.Frame.op_lookup then "lookup"
-  else if op = Service.Frame.op_batch_lookup then "batch_lookup"
-  else if op = Service.Frame.op_add_member then "mutate"
-  else if op = Service.Frame.op_add_class then "mutate"
-  else if op = Service.Frame.op_symbols then "symbols"
-  else "invalid"
-
-let executor t ~conn req_q out_q () =
-  let net = Service.Server.net t.srv in
-  let respond_raw s = ignore (Bqueue.push out_q s) in
-  let respond j = respond_raw (J.to_string j ^ "\n") in
-  let admit ~rejected run =
-    let admitted =
-      Atomic.fetch_and_add net.Service.Server.net_admitted 1
-      < t.cfg.queue_depth
-    in
-    if not admitted then begin
-      Atomic.decr net.Service.Server.net_admitted;
-      rejected ()
-    end
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr net.Service.Server.net_admitted)
-        run
-  in
-  let overload_msg =
-    Printf.sprintf "server at admission capacity (%d in flight); retry"
-      t.cfg.queue_depth
-  in
-  let rec loop () =
-    match Bqueue.pop req_q with
-    | None -> ()
-    | Some (Oversized n) ->
-      respond
-        (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id:J.Null
-           P.Bad_request
-           (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n));
-      loop ()
-    | Some (Oversized_frame n) ->
-      respond_raw
-        (Service.Server.reject_frame ~conn t.srv ~verb:"invalid" ~id:0
-           P.Bad_request
-           (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
-              t.cfg.max_line n));
-      loop ()
-    | Some (Line line) ->
-      (match P.parse_request line with
-      | Error (id, code, msg) ->
-        respond (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id code msg)
-      | Ok rq ->
-        admit
-          ~rejected:(fun () ->
-            respond
-              (Service.Server.reject ~conn t.srv
-                 ~verb:(P.op_string rq.P.rq_op) ~id:rq.P.rq_id P.Overloaded
-                 overload_msg))
-          (fun () ->
-            let run () = Service.Server.handle_request ~conn t.srv rq in
-            respond
-              (if P.read_only rq.P.rq_op then Rwlock.with_read t.lock run
-               else Rwlock.with_write t.lock run)));
-      loop ()
-    | Some (Frame f) ->
-      let op = Char.code f.[1] in
-      admit
-        ~rejected:(fun () ->
-          (* echo the id when the prefix survives — all the decode the
-             rejection path affords *)
-          let id =
-            match
-              Service.Frame.session_of_request
-                (String.sub f Service.Frame.header_len
-                   (String.length f - Service.Frame.header_len))
-            with
-            | Ok (id, _) -> id
-            | Error _ -> 0
-          in
-          respond_raw
-            (Service.Server.reject_frame ~conn t.srv ~verb:(frame_verb op)
-               ~id P.Overloaded overload_msg))
-        (fun () ->
-          let run () = Service.Server.handle_frame ~conn t.srv f in
-          respond_raw
-            (if frame_read_only op then Rwlock.with_read t.lock run
-             else Rwlock.with_write t.lock run));
-      loop ()
-  in
-  loop ();
-  Bqueue.close out_q
-
-(* Writer: drains the bounded output queue to the socket.  A client
-   that stops reading fills its TCP window, then this queue, then
-   stalls only its own executor — never another connection, never the
-   server's memory. *)
-let writer fd out_q () =
-  let rec loop () =
-    match Bqueue.pop out_q with
-    | None -> ()
-    | Some s ->
-      (match write_all fd s with
-      | () -> loop ()
-      | exception Unix.Unix_error _ ->
-        (* client is gone; stop consuming so the executor backs up and
-           the reader's queue closure unwinds the pipeline *)
-        Bqueue.close out_q)
-  in
-  loop ()
+  try
+    while !alive do
+      let wait = !deadline -. Unix.gettimeofday () in
+      if wait <= 0. then begin
+        time_out ();
+        alive := false
+      end
+      else begin
+        match Unix.select [ fd ] [] [] wait with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | [], _, _ -> ()  (* re-check the deadline *)
+        | _ ->
+          let n = Unix.read fd buf 0 (Bytes.length buf) in
+          if n = 0 then alive := false
+          else
+            for i = 0 to n - 1 do
+              let c = Bytes.get buf i in
+              if !frame_skip > 0 then begin
+                decr frame_skip;
+                if !frame_skip = 0 then respond (Oversized_frame !frame_over)
+              end
+              else if !in_frame then frame_byte c
+              else if
+                Buffer.length acc = 0 && (not !discarding)
+                && Char.code c = Service.Frame.request_magic
+              then begin
+                (* message boundary + 0xB1: binary framing this message *)
+                in_frame := true;
+                frame_total := -1;
+                Buffer.clear fbuf;
+                Buffer.add_char fbuf c
+              end
+              else
+                match c with
+                | '\n' -> emit_line ()
+                | c ->
+                  if !discarding then incr discarded
+                  else begin
+                    Buffer.add_char acc c;
+                    if Buffer.length acc > t.cfg.max_line then begin
+                      (* switch to discard mode: the line is already
+                         over budget, stop accumulating its bytes *)
+                      discarding := true;
+                      discarded := Buffer.length acc;
+                      Buffer.clear acc
+                    end
+                  end
+            done
+      end
+    done
+  with Unix.Unix_error _ -> ()
 
 let handle_conn t ~conn fd =
   let net = Service.Server.net t.srv in
-  let req_q = Bqueue.create t.cfg.conn_queue in
-  let out_q = Bqueue.create t.cfg.conn_queue in
-  let timed_out = ref false in
-  let rd = Thread.create (reader t fd req_q timed_out) () in
-  let wr = Thread.create (writer fd out_q) () in
-  executor t ~conn req_q out_q ();
-  (* executor done ⇒ req_q drained; make sure a reader blocked in
-     [select] wakes up rather than waiting out the idle timeout *)
-  (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
-  Thread.join rd;
-  Thread.join wr;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns conn);
-  Atomic.decr net.Service.Server.net_active;
-  Telemetry.Counter.incr net.Service.Server.net_closed;
-  if !timed_out then
-    Telemetry.Counter.incr net.Service.Server.net_timed_out
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns conn);
+      Atomic.decr net.Service.Server.net_active;
+      Telemetry.Counter.incr net.Service.Server.net_closed)
+    (fun () -> serve_conn t ~conn fd)
 
 (* ---- worker domains and the accept loop ----------------------------- *)
 
@@ -505,8 +478,9 @@ let run t =
   (match t.bound with
   | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ());
-  (* wake every connection: readers see EOF, pipelines drain, workers
-     join their threads and exit *)
+  (* wake every connection: a thread blocked in a read sees EOF, one
+     blocked in a write sees EPIPE; workers join their threads and
+     exit *)
   Mutex.protect t.conns_mutex (fun () ->
       Hashtbl.iter
         (fun _ fd ->

@@ -4,28 +4,31 @@
 
     Topology: the accept loop runs on the calling domain and hands
     connections round-robin to [workers] spawned domains; each
-    connection runs a reader → executor → writer systhread pipeline on
-    its worker's domain.  Read verbs execute concurrently under a
-    shared {!Rwlock}; mutations serialize through its exclusive side —
-    the single writer path owning the session table and WAL.
+    connection is served by one systhread on its worker's domain,
+    which reads a request, executes it, writes the response and reads
+    the next.  Read verbs execute concurrently under a shared
+    {!Rwlock}; mutations serialize through its exclusive side — the
+    single writer path owning the session table and WAL.
 
     Ordering: per-connection execution is serial, so pipelined
     responses leave in request order and a single-connection
     transcript is byte-identical to stdin/stdout mode.
 
-    Backpressure: bounded per-connection job/output queues (a full job
-    queue stops socket reads, so TCP pushes back; a slow consumer
-    stalls only its own executor) plus a global admission bound of
-    [queue_depth] executing requests — past it, requests are answered
-    with explicit [overloaded] protocol errors, never buffered without
-    limit.  [max_conns] is enforced at accept: the excess connection
-    receives one [overloaded] line and is closed.
+    Backpressure: a connection reads its next request only after
+    writing the previous response, outside the lock, so a client that
+    stops reading stops its own connection and TCP pushes back.  A
+    global admission bound of [queue_depth] executing requests answers
+    the excess with explicit [overloaded] protocol errors, never
+    buffered without limit.  [max_conns] is enforced at accept: the
+    excess connection receives one [overloaded] line and is closed.
 
-    Timeouts: a connection silent — or dribbling a partial line
-    (slowloris) — for [idle_timeout] seconds is closed cleanly after
-    its pending responses drain.  Lines over [max_line] bytes are
-    discarded to their newline and answered [bad_request] in arrival
-    order without killing the connection. *)
+    Timeouts: a connection whose client is silent — or dribbles a
+    partial line (slowloris) — for [idle_timeout] seconds, or whose
+    pending response sees no write progress for as long, is closed
+    cleanly; the time a request spends executing is never counted.
+    Lines over [max_line] bytes are discarded to their newline and
+    answered [bad_request] in arrival order without killing the
+    connection. *)
 
 type addr = Tcp of string * int | Unix_path of string
 
@@ -33,8 +36,9 @@ type config = {
   workers : int;  (** worker domains executing requests *)
   max_conns : int;  (** connections accepted concurrently *)
   queue_depth : int;  (** global admission bound (requests in flight) *)
-  conn_queue : int;  (** per-connection job / output queue bound *)
-  idle_timeout : float;  (** seconds; also the slowloris deadline *)
+  idle_timeout : float;
+      (** seconds a client may stay silent, dribble a partial line or
+          leave a response unread *)
   max_line : int;  (** request line length bound, bytes *)
 }
 
@@ -72,8 +76,7 @@ val exclusively : t -> (unit -> 'a) -> 'a
 
 (** [run t] spawns the worker domains and runs the accept loop on the
     calling domain until {!stop}; then it closes the listener, wakes
-    every open connection, drains the pipelines and joins the
-    workers. *)
+    every open connection, lets each finish and joins the workers. *)
 val run : t -> unit
 
 (** Signal-safe: sets a flag the accept loop polls (≤ 0.2 s latency).

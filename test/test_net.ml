@@ -1,8 +1,10 @@
 (* Tests for the networked server: the backpressure primitives
    (Bqueue, Rwlock), protocol hardening over real sockets (pipelining
    order, oversized lines, torn lines at the idle timeout, explicit
-   overload), and a QCheck property that concurrent read mixes over K
-   connections match the spec oracle. *)
+   overload, slow requests and non-reading clients against the idle
+   timeout, one server thread per connection), and a QCheck property
+   that concurrent read mixes over K connections match the spec
+   oracle. *)
 
 module G = Chg.Graph
 module J = Chg.Json
@@ -106,7 +108,7 @@ let test_rwlock_readers_concurrent () =
 let fig9_source =
   In_channel.with_open_text "../examples/fig9.cpp" In_channel.input_all
 
-let with_server ?(config = Net.Server.default_config) f =
+let with_net_server ?(config = Net.Server.default_config) f =
   let srv = Server.create () in
   let net = Net.Server.create ~config srv (Net.Server.Tcp ("127.0.0.1", 0)) in
   let th = Thread.create Net.Server.run net in
@@ -115,7 +117,9 @@ let with_server ?(config = Net.Server.default_config) f =
     ~finally:(fun () ->
       Net.Server.stop net;
       Thread.join th)
-    (fun () -> f addr)
+    (fun () -> f net addr)
+
+let with_server ?config f = with_net_server ?config (fun _ addr -> f addr)
 
 let ok_resp line =
   match J.of_string line with
@@ -268,6 +272,196 @@ let test_overload_counter_visible () =
     (net_stat stats "overloaded");
   Net.Client.close cl
 
+let stats_line = {|{"id":1,"op":"stats"}|}
+
+let stats cl =
+  Net.Client.send_line cl stats_line;
+  must_recv cl
+
+let test_slow_request_keeps_connection () =
+  (* the idle deadline counts client silence only: a request that
+     executes for far longer than [idle_timeout] must not cost the
+     connection.  The request is made slow deterministically — it waits
+     behind the exclusive side of the verb-class lock, as it would
+     behind a long mutation — and measured 1.0 s against a 0.25 s
+     idle timeout (the hold plus well under a millisecond). *)
+  let config = { Net.Server.default_config with idle_timeout = 0.25 } in
+  with_net_server ~config @@ fun net addr ->
+  let cl = Net.Client.connect addr in
+  let held = Atomic.make false in
+  let holder =
+    Thread.create
+      (fun () ->
+        Net.Server.exclusively net (fun () ->
+            Atomic.set held true;
+            Thread.delay 1.0))
+      ()
+  in
+  while not (Atomic.get held) do
+    Thread.yield ()
+  done;
+  let t0 = Unix.gettimeofday () in
+  Net.Client.send_line cl stats_line;
+  Alcotest.(check bool) "slow request answered" true (ok_resp (must_recv cl));
+  let took = Unix.gettimeofday () -. t0 in
+  Thread.join holder;
+  Alcotest.(check bool)
+    (Printf.sprintf "request ran %.2f s, over 2 idle timeouts" took)
+    true (took > 2. *. config.idle_timeout);
+  (* the follow-up is sent only after the slow answer arrived, so it
+     finds the connection open only if execution was never charged *)
+  let follow_up = stats cl in
+  Alcotest.(check bool) "follow-up answered on the same connection" true
+    (ok_resp follow_up);
+  Alcotest.(check int) "nothing timed out" 0
+    (net_stat follow_up "connections_timed_out");
+  Net.Client.close cl
+
+(* A raw client socket with a tiny receive buffer, so a peer that
+   never reads fills the connection after little data. *)
+let connect_tiny_rcvbuf addr =
+  match addr with
+  | Net.Server.Tcp (host, port) ->
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+    (* a bound on the test itself: a send blocked on a server that
+       never closes fails instead of hanging *)
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    fd
+  | Net.Server.Unix_path _ -> Alcotest.fail "tcp only"
+
+let stats_until cl pred =
+  (* poll server stats until [pred] holds; 10 s bound *)
+  let give_up = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    let s = stats cl in
+    if pred s then s
+    else if Unix.gettimeofday () > give_up then
+      Alcotest.failf "condition never held: %s" s
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+let test_slow_consumer_isolated () =
+  (* client A pipelines large batch_lookups and never reads.  Its
+     connection thread blocks writing a response — outside the lock —
+     so client B's mutate (exclusive side) and lookup still answer
+     while A is stuck, and A is closed once a write makes no progress
+     for [idle_timeout]. *)
+  let config = { Net.Server.default_config with idle_timeout = 1.5 } in
+  with_server ~config @@ fun addr ->
+  let b = Net.Client.connect addr in
+  Net.Client.send_line b (open_line fig9_source);
+  Alcotest.(check bool) "open ok" true (ok_resp (must_recv b));
+  let batch =
+    J.to_string
+      (J.Obj
+         [ ("id", J.Int 1); ("op", J.String "batch_lookup");
+           ("session", J.String "s");
+           ( "queries",
+             J.List
+               (List.init 2000 (fun _ ->
+                    J.Obj
+                      [ ("class", J.String "E"); ("member", J.String "m") ]))
+           ) ])
+    ^ "\n"
+  in
+  let a = connect_tiny_rcvbuf addr in
+  let sent = Atomic.make 0 in
+  let send_failed = Atomic.make false in
+  let sender =
+    Thread.create
+      (fun () ->
+        try
+          for _ = 1 to 1000 do
+            let n = String.length batch in
+            let off = ref 0 in
+            while !off < n do
+              off := !off + Unix.write_substring a batch !off (n - !off)
+            done;
+            Atomic.incr sent
+          done
+        with Unix.Unix_error _ -> Atomic.set send_failed true)
+      ()
+  in
+  (* A is stuck once its sends stop making progress: the server no
+     longer reads A, because A's thread is blocked writing to it *)
+  let rec wait_stalled last =
+    Thread.delay 0.1;
+    let now = Atomic.get sent in
+    if now <> last || now = 0 then wait_stalled now
+  in
+  wait_stalled (-1);
+  let before = stats b in
+  Alcotest.(check int) "A still open while stuck" 2
+    (net_stat before "connections_active");
+  Net.Client.send_line b
+    (J.to_string
+       (J.Obj
+          [ ("id", J.Int 2); ("op", J.String "mutate");
+            ("session", J.String "s");
+            ( "add_member",
+              J.Obj
+                [ ("class", J.String "E");
+                  ("member", J.Obj [ ("name", J.String "fresh") ]) ] ) ]));
+  Alcotest.(check bool) "B's mutate answered while A is stuck" true
+    (ok_resp (must_recv b));
+  Net.Client.send_line b
+    (lookup_line ~session:"s" ~id:3 ~cls:"E" ~member:"fresh");
+  Alcotest.(check bool) "B's lookup answered while A is stuck" true
+    (ok_resp (must_recv b));
+  let during = stats b in
+  Alcotest.(check int) "A not yet timed out" 0
+    (net_stat during "connections_timed_out");
+  (* A's deadline passes: the server closes it as timed out *)
+  let after =
+    stats_until b (fun s -> net_stat s "connections_timed_out" = 1)
+  in
+  Alcotest.(check int) "only B remains" 1
+    (net_stat after "connections_active");
+  Thread.join sender;
+  Alcotest.(check bool) "A's pending sends fail once it is closed" true
+    (Atomic.get send_failed);
+  Unix.close a;
+  Net.Client.close b
+
+(* OS threads in this process, from the [Threads:] line of
+   /proc/self/status. *)
+let os_threads () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "no Threads: line in /proc/self/status"
+        | Some l ->
+          (match String.split_on_char ':' l with
+          | [ "Threads"; n ] -> int_of_string (String.trim n)
+          | _ -> go ())
+      in
+      go ())
+
+let test_one_thread_per_connection () =
+  (* a structural, timing-free guard: every connection costs the server
+     exactly one thread — a per-connection pipeline of several threads
+     fails here on any host *)
+  with_server @@ fun addr ->
+  let use cl = Alcotest.(check bool) "answered" true (ok_resp (stats cl)) in
+  (* the first connection on a worker domain also starts that domain's
+     tick thread; take it out of the count *)
+  let warm = Net.Client.connect addr in
+  use warm;
+  let base = os_threads () in
+  let n = 5 in
+  let conns = List.init n (fun _ -> Net.Client.connect addr) in
+  List.iter use conns;
+  Alcotest.(check int) "N connections add N threads" (base + n)
+    (os_threads ());
+  List.iter Net.Client.close conns;
+  Net.Client.close warm
+
 (* ---- QCheck: concurrent read mixes match the spec oracle ---- *)
 
 let qc_members = [ "m"; "n"; "p" ]
@@ -368,5 +562,11 @@ let suite =
     Alcotest.test_case "queue_depth exhaustion answers overloaded" `Quick
       test_overload_explicit;
     Alcotest.test_case "connection gauges visible in stats" `Quick
-      test_overload_counter_visible ]
+      test_overload_counter_visible;
+    Alcotest.test_case "slow request does not count against idle timeout"
+      `Quick test_slow_request_keeps_connection;
+    Alcotest.test_case "non-reading client holds neither lock nor thread"
+      `Quick test_slow_consumer_isolated;
+    Alcotest.test_case "one server thread per connection" `Quick
+      test_one_thread_per_connection ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_concurrent_reads_match_spec ]
