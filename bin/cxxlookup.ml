@@ -382,7 +382,7 @@ let run_instrumented g cl ~member =
 
 let verdict_json g = function
   | None -> Tjson.Null
-  | Some v -> Tjson.String (Format.asprintf "%a" (Engine.pp_verdict g) v)
+  | Some v -> Tjson.String (Engine.verdict_string g v)
 
 let stats_cmd =
   let json_flag =

@@ -19,9 +19,15 @@ type t =
     newlines and two-space indentation. *)
 val to_string : ?pretty:bool -> t -> string
 
+(** [to_buffer buf j] appends the compact encoding of [j] to [buf] —
+    the bytes [to_string j] would return, without the intermediate
+    string. *)
+val to_buffer : Buffer.t -> t -> unit
+
 (** [of_string s] parses.  Rejects trailing garbage, unterminated
-    strings, floats, and other malformed input with a message and byte
-    offset. *)
+    strings, floats, [\u] escapes other than exactly four hex digits
+    naming an ASCII code, and other malformed input with a message and
+    byte offset. *)
 val of_string : string -> (t, string) result
 
 (** Accessors returning [Error] with a path-aware message. *)

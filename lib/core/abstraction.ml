@@ -63,18 +63,7 @@ let abstract_path p =
         | None -> Omega
         | Some c -> Lv c) ] }
 
-let pp_lv g ppf = function
-  | Omega -> Format.pp_print_string ppf "Ω"
-  | Lv c -> Format.pp_print_string ppf (Chg.Graph.name g c)
+let lv_name g = function Omega -> "Ω" | Lv c -> Chg.Graph.name g c
 
-let pp_red g ppf r =
-  match r.r_lvs with
-  | [ v ] ->
-    Format.fprintf ppf "(%s, %a)" (Chg.Graph.name g r.r_ldc) (pp_lv g) v
-  | vs ->
-    Format.fprintf ppf "(%s, {%a})"
-      (Chg.Graph.name g r.r_ldc)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (pp_lv g))
-      vs
+let pp_lv g ppf v = Format.pp_print_string ppf (lv_name g v)
+

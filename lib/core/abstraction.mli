@@ -70,5 +70,7 @@ val lv_compare : lv -> lv -> int
     of a definition path. *)
 val abstract_path : Subobject.Path.t -> red
 
+(** [lv_name g v] is the class name of [Lv c], or ["Ω"]. *)
+val lv_name : Chg.Graph.t -> lv -> string
+
 val pp_lv : Chg.Graph.t -> Format.formatter -> lv -> unit
-val pp_red : Chg.Graph.t -> Format.formatter -> red -> unit

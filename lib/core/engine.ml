@@ -27,14 +27,37 @@ let rec blue_union s1 s2 =
     else if c > 0 then b :: blue_union s1 t2
     else a :: blue_union t1 t2
 
-let pp_verdict g ppf = function
-  | Red r -> Format.fprintf ppf "red %a" (pp_red g) r
+(* The one verdict renderer: the request path ([detail] of every JSON
+   lookup answer), trace events and the CLI all print through it, so it
+   builds the text in a [Buffer] instead of going through [Format]. *)
+let verdict_string g v =
+  let buf = Buffer.create 32 in
+  let lv v = Buffer.add_string buf (lv_name g v) in
+  let lv_set = function
+    | [] -> Buffer.add_string buf "{}"
+    | v :: vs ->
+      Buffer.add_char buf '{';
+      lv v;
+      List.iter
+        (fun v ->
+          Buffer.add_string buf ", ";
+          lv v)
+        vs;
+      Buffer.add_char buf '}'
+  in
+  (match v with
+  | Red r ->
+    Buffer.add_string buf "red (";
+    Buffer.add_string buf (Chg.Graph.name g r.r_ldc);
+    Buffer.add_string buf ", ";
+    (match r.r_lvs with [ v ] -> lv v | vs -> lv_set vs);
+    Buffer.add_char buf ')'
   | Blue s ->
-    Format.fprintf ppf "blue {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (pp_lv g))
-      s
+    Buffer.add_string buf "blue ";
+    lv_set s);
+  Buffer.contents buf
+
+let pp_verdict g ppf v = Format.pp_print_string ppf (verdict_string g v)
 
 (* One combine step: the verdict for a class from its direct bases'
    verdicts, already pushed through their edges.
@@ -185,9 +208,7 @@ let build_general ?(static_rule = true) ?(witnesses = false)
     | None -> false
   in
   let class_str c = Telemetry.Event.Str (Chg.Graph.name g c) in
-  let verdict_str v =
-    Telemetry.Event.Str (Format.asprintf "%a" (pp_verdict g) v)
-  in
+  let verdict_str v = Telemetry.Event.Str (verdict_string g v) in
   (* Class ids are topological (bases before derived): one increasing
      pass implements the paper's traversal. *)
   Telemetry.Span.run metrics.Metrics.spans "propagate" @@ fun () ->

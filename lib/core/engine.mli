@@ -97,6 +97,12 @@ val agrees_with_spec :
   t -> spec_verdict:Subobject.Spec.verdict -> Chg.Graph.class_id -> string
   -> bool
 
+(** [verdict_string g v] renders a verdict: [red (L, V)],
+    [red (L, {V1, V2})] for a Section-6 static group, [blue {V1, V2}],
+    with [Ω] for the non-virtual abstraction.  The only renderer:
+    [pp_verdict] prints exactly this string. *)
+val verdict_string : Chg.Graph.t -> verdict -> string
+
 val pp_verdict : Chg.Graph.t -> Format.formatter -> verdict -> unit
 
 (**/**)

@@ -150,6 +150,14 @@ type msg =
   | Frame of string  (* one complete binary (1b) frame, header included *)
   | Oversized_frame of int  (* a discarded frame and its declared length *)
 
+(* A response line: the document and its newline, encoded into one
+   buffer. *)
+let json_line j =
+  let buf = Buffer.create 256 in
+  J.to_buffer buf j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let write_all fd s =
   let n = String.length s in
   let off = ref 0 in
@@ -197,10 +205,9 @@ let answer t ~conn msg =
         ~finally:(fun () -> Atomic.decr net.Service.Server.net_admitted)
         run
   in
-  let line j = J.to_string j ^ "\n" in
   match msg with
   | Oversized n ->
-    line
+    json_line
       (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id:J.Null
          P.Bad_request
          (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n))
@@ -212,16 +219,17 @@ let answer t ~conn msg =
   | Line l ->
     (match P.parse_request l with
     | Error (id, code, msg) ->
-      line (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id code msg)
+      json_line
+        (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id code msg)
     | Ok rq ->
       admit
         ~rejected:(fun msg ->
-          line
+          json_line
             (Service.Server.reject ~conn t.srv ~verb:(P.op_string rq.P.rq_op)
                ~id:rq.P.rq_id P.Overloaded msg))
         (fun () ->
           let run () = Service.Server.handle_request ~conn t.srv rq in
-          line
+          json_line
             (if P.read_only rq.P.rq_op then Rwlock.with_read t.lock run
              else Rwlock.with_write t.lock run)))
   | Frame f ->
@@ -255,7 +263,9 @@ let answer t ~conn msg =
    first byte chooses — 0xB1 starts a binary (1b) frame (6-byte header,
    then exactly the declared payload), anything else a JSON line up to
    its newline.  Negotiation is per message, so one connection may
-   interleave framings freely.
+   interleave framings freely.  A read chunk is consumed in runs, not
+   byte by byte: a line up to its newline, a frame up to the end of its
+   header or of itself, a skipped payload as far as the chunk goes.
 
    Max-line: a line over the bound is discarded to its newline and
    answered as one [Oversized] message; a frame declaring a payload
@@ -324,8 +334,15 @@ let serve_conn t ~conn fd =
       if String.trim line = "" then rearm () else respond (Line line)
     end
   in
-  let frame_byte c =
-    Buffer.add_char fbuf c;
+  (* [frame_bytes i n] feeds [buf.[i..]] to the frame in progress, at
+     most up to the end of its header (while the header is incomplete)
+     or of the frame, and returns how many bytes it took *)
+  let frame_bytes i n =
+    let goal =
+      if !frame_total < 0 then Service.Frame.header_len else !frame_total
+    in
+    let k = min (goal - Buffer.length fbuf) (n - i) in
+    Buffer.add_subbytes fbuf buf i k;
     if !frame_total < 0 && Buffer.length fbuf = Service.Frame.header_len
     then begin
       match Service.Frame.parse_header (Buffer.contents fbuf) with
@@ -349,7 +366,33 @@ let serve_conn t ~conn fd =
       in_frame := false;
       frame_total := -1;
       respond (Frame f)
+    end;
+    k
+  in
+  (* [line_bytes i n] feeds [buf.[i..]] to the line in progress, up to
+     and including its newline, and returns how many bytes it took *)
+  let line_bytes i n =
+    let rec newline j =
+      if j = n || Bytes.unsafe_get buf j = '\n' then j else newline (j + 1)
+    in
+    let stop = newline i in
+    let k = stop - i in
+    if !discarding then discarded := !discarded + k
+    else begin
+      Buffer.add_subbytes acc buf i k;
+      if Buffer.length acc > t.cfg.max_line then begin
+        (* switch to discard mode: the line is already over budget,
+           stop accumulating its bytes *)
+        discarding := true;
+        discarded := Buffer.length acc;
+        Buffer.clear acc
+      end
+    end;
+    if stop < n then begin
+      emit_line ();
+      k + 1
     end
+    else k
   in
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.idle_timeout
    with Unix.Unix_error _ -> ());
@@ -369,38 +412,27 @@ let serve_conn t ~conn fd =
           let n = Unix.read fd buf 0 (Bytes.length buf) in
           if n = 0 then alive := false
           else
-            for i = 0 to n - 1 do
-              let c = Bytes.get buf i in
+            let i = ref 0 in
+            while !i < n do
               if !frame_skip > 0 then begin
-                decr frame_skip;
+                let k = min !frame_skip (n - !i) in
+                frame_skip := !frame_skip - k;
+                i := !i + k;
                 if !frame_skip = 0 then respond (Oversized_frame !frame_over)
               end
-              else if !in_frame then frame_byte c
+              else if !in_frame then i := !i + frame_bytes !i n
               else if
                 Buffer.length acc = 0 && (not !discarding)
-                && Char.code c = Service.Frame.request_magic
+                && Char.code (Bytes.get buf !i) = Service.Frame.request_magic
               then begin
                 (* message boundary + 0xB1: binary framing this message *)
                 in_frame := true;
                 frame_total := -1;
                 Buffer.clear fbuf;
-                Buffer.add_char fbuf c
+                Buffer.add_char fbuf (Bytes.get buf !i);
+                incr i
               end
-              else
-                match c with
-                | '\n' -> emit_line ()
-                | c ->
-                  if !discarding then incr discarded
-                  else begin
-                    Buffer.add_char acc c;
-                    if Buffer.length acc > t.cfg.max_line then begin
-                      (* switch to discard mode: the line is already
-                         over budget, stop accumulating its bytes *)
-                      discarding := true;
-                      discarded := Buffer.length acc;
-                      Buffer.clear acc
-                    end
-                  end
+              else i := !i + line_bytes !i n
             done
       end
     done
@@ -438,10 +470,9 @@ let run t =
     Array.map (fun mb -> Domain.spawn (worker_loop t mb)) t.mailboxes
   in
   let overload_line =
-    J.to_string
+    json_line
       (P.error_response ~id:J.Null P.Overloaded
          (Printf.sprintf "connection limit reached (%d)" t.cfg.max_conns))
-    ^ "\n"
   in
   while not (Atomic.get t.stop) do
     match Unix.select [ t.listen_fd ] [] [] 0.2 with

@@ -356,17 +356,15 @@ let error_response ~id code msg =
           [ ("code", J.String (code_string code));
             ("message", J.String msg) ] ) ]
 
-let verdict_fields g v =
+let verdict_fields g v rest =
   match v with
-  | None -> [ ("verdict", J.String "none") ]
-  | Some (Engine.Red r) ->
-    [ ("verdict", J.String "red");
-      ("resolves_to", J.String (G.name g r.Abstraction.r_ldc));
-      ("detail",
-       J.String (Format.asprintf "%a" (Engine.pp_verdict g) (Engine.Red r)))
-    ]
-  | Some (Engine.Blue s) ->
-    [ ("verdict", J.String "blue");
-      ("detail",
-       J.String (Format.asprintf "%a" (Engine.pp_verdict g) (Engine.Blue s)))
-    ]
+  | None -> ("verdict", J.String "none") :: rest
+  | Some (Engine.Red r as v) ->
+    ("verdict", J.String "red")
+    :: ("resolves_to", J.String (G.name g r.Abstraction.r_ldc))
+    :: ("detail", J.String (Engine.verdict_string g v))
+    :: rest
+  | Some (Engine.Blue _ as v) ->
+    ("verdict", J.String "blue")
+    :: ("detail", J.String (Engine.verdict_string g v))
+    :: rest

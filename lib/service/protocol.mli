@@ -138,9 +138,10 @@ val ok_response : id:Chg.Json.t -> (string * Chg.Json.t) list -> Chg.Json.t
 val error_response :
   id:Chg.Json.t -> error_code -> string -> Chg.Json.t
 
-(** [verdict_fields g v] — the response encoding of a verdict:
-    [("verdict", "red"|"blue"|"none")], plus [resolves_to] (red) and
-    [detail] (the pretty verdict, red/blue). *)
+(** [verdict_fields g v rest] — the response encoding of a verdict,
+    consed onto [rest]: [("verdict", "red"|"blue"|"none")], plus
+    [resolves_to] (red) and [detail] ({!Lookup_core.Engine.verdict_string},
+    red/blue). *)
 val verdict_fields :
   Chg.Graph.t -> Lookup_core.Engine.verdict option ->
-  (string * Chg.Json.t) list
+  (string * Chg.Json.t) list -> (string * Chg.Json.t) list

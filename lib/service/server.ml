@@ -281,7 +281,7 @@ let query_fields s (q : P.query) =
     ("class", J.String q.P.q_class)
     :: ("member", J.String q.P.q_member)
     :: P.verdict_fields (Session.graph s) v
-    @ [ ("via", J.String (Session.served_string served)) ]
+         [ ("via", J.String (Session.served_string served)) ]
 
 (* The linearized-semantics twin of [query_fields]: answered from the
    session's per-variant MRO table, reported as ["via":"mro"] with the
@@ -293,8 +293,8 @@ let mro_query_fields s v (q : P.query) =
     ("class", J.String q.P.q_class)
     :: ("member", J.String q.P.q_member)
     :: P.verdict_fields (Session.graph s) verdict
-    @ [ ("semantics", J.String (Mro.variant_string v));
-        ("via", J.String "mro") ]
+         [ ("semantics", J.String (Mro.variant_string v));
+           ("via", J.String "mro") ]
 
 let handle_lookup t s sem q =
   Telemetry.Counter.incr t.lookups;
@@ -332,7 +332,7 @@ let handle_batch t s sem qs =
               (("class", J.String q.P.q_class)
                :: ("member", J.String q.P.q_member)
                :: P.verdict_fields (Session.graph s) v
-               @ [ ("via", J.String (Session.served_string served)) ]))
+                    [ ("via", J.String (Session.served_string served)) ]))
         | Mro.Linearized variant ->
           (match
              Session.mro_lookup s variant q.P.q_class q.P.q_member
@@ -344,8 +344,8 @@ let handle_batch t s sem qs =
               (("class", J.String q.P.q_class)
                :: ("member", J.String q.P.q_member)
                :: P.verdict_fields (Session.graph s) v
-               @ [ ("semantics", J.String (Mro.variant_string variant));
-                   ("via", J.String "mro") ])))
+                    [ ("semantics", J.String (Mro.variant_string variant));
+                      ("via", J.String "mro") ])))
       qs
   in
   [ ("results", J.List results);

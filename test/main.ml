@@ -15,6 +15,7 @@ let () =
       ("rf_ops", Test_rf_ops.suite);
       ("incremental", Test_incremental.suite);
       ("serialize", Test_serialize.suite);
+      ("codec", Test_codec.suite);
       ("runtime", Test_runtime.suite);
       ("analysis", Test_analysis.suite);
       ("lint", Test_lint.suite);

@@ -1,6 +1,7 @@
 (* Tests for the networked server: the backpressure primitives
    (Bqueue, Rwlock), protocol hardening over real sockets (pipelining
-   order, oversized lines, torn lines at the idle timeout, explicit
+   order, oversized lines, framing across read boundaries, torn lines
+   at the idle timeout, explicit
    overload, slow requests and non-reading clients against the idle
    timeout, one server thread per connection), and a QCheck property
    that concurrent read mixes over K connections match the spec
@@ -234,6 +235,81 @@ let test_torn_line_times_out () =
     (net_stat stats "connections_timed_out");
   Alcotest.(check int) "no spurious overload" 0 (net_stat stats "overloaded");
   Net.Client.close cl2
+
+(* One byte stream mixing every framing case — CRLF, blank lines, an
+   oversized line, a 0xB1 byte inside a JSON line, a 1b frame, an
+   oversized frame whose skipped payload holds newlines and 0xB1 bytes —
+   must draw the same response bytes however the reads split it. *)
+let framing_stream () =
+  let le32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * k)) land 0xff)) in
+  let symbols =
+    Service.Frame.encode_request
+      { Service.Frame.fr_id = 9; fr_session = "s"; fr_op = Service.Frame.Symbols }
+  in
+  let skipped = String.init 3000 (fun k -> if k mod 7 = 0 then '\n' else '\xb1') in
+  String.concat ""
+    [ open_line fig9_source; "\r\n"; "\n"; "  \r\n";
+      lookup_line ~session:"s" ~id:1 ~cls:"E" ~member:"m"; "\r\n";
+      String.make 3000 'x'; "\n";
+      "{\"id\":2,\"op\":\"\xb1\"}\n";
+      symbols;
+      "\xb1"; String.make 1 (Char.chr Service.Frame.op_lookup); le32 3000;
+      skipped;
+      lookup_line ~session:"s" ~id:3 ~cls:"E" ~member:"m"; "\n" ]
+
+(* Write [stream] in chunks of the given sizes (cycled), half-close, and
+   read every response byte until the server closes. *)
+let transcript ~config sizes stream =
+  with_server ~config @@ fun addr ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (match addr with
+  | Net.Server.Tcp (host, port) ->
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  | Net.Server.Unix_path _ -> Alcotest.fail "expected a TCP listener");
+  let n = String.length stream in
+  let rec send off k =
+    if off < n then begin
+      let len = min (List.nth sizes (k mod List.length sizes)) (n - off) in
+      let w = Unix.write_substring fd stream off len in
+      send (off + w) (k + 1)
+    end
+  in
+  send 0 0;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let out = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec recv () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes out chunk 0 k;
+      recv ()
+  in
+  recv ();
+  Unix.close fd;
+  Buffer.contents out
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_framing_read_boundaries () =
+  let config = { Net.Server.default_config with max_line = 2048 } in
+  let stream = framing_stream () in
+  let whole = transcript ~config [ String.length stream ] stream in
+  List.iter
+    (fun what ->
+      if not (contains whole what) then
+        Alcotest.failf "transcript lacks %S:\n%S" what whole)
+    [ {|"id":0,"ok":true|}; {|"id":1,"ok":true|};
+      "line exceeds 2048 bytes (3000 read)"; {|"id":2,"ok":false|};
+      "frame payload exceeds 2048 bytes (3000 declared)";
+      {|"id":3,"ok":true|} ];
+  List.iter
+    (fun (what, sizes) ->
+      Alcotest.(check string) what whole (transcript ~config sizes stream))
+    [ ("one byte per write", [ 1 ]);
+      ("uneven writes", [ 5; 1; 4096; 3; 777; 2; 6 ]) ]
 
 let test_overload_explicit () =
   (* queue_depth 0: the admission bound is already exhausted, so every
@@ -559,6 +635,8 @@ let suite =
       `Quick test_oversized_line_survives;
     Alcotest.test_case "torn line closes cleanly at the idle timeout"
       `Quick test_torn_line_times_out;
+    Alcotest.test_case "framing independent of read boundaries" `Quick
+      test_framing_read_boundaries;
     Alcotest.test_case "queue_depth exhaustion answers overloaded" `Quick
       test_overload_explicit;
     Alcotest.test_case "connection gauges visible in stats" `Quick

@@ -29,7 +29,7 @@ let test_json_parse_basics () =
     (Json.of_string "  { \"a\" : [ 1 , 2 ] }  "
     = Ok (Json.Obj [ ("a", Json.List [ Json.Int 1; Json.Int 2 ]) ]));
   Alcotest.(check bool) "unicode escape" true
-    (Json.of_string "\"a\\u0041b\"" = Ok (Json.String "aAb"));
+    (Json.of_string "\"a\\u0041b\\u004a\\u004A\"" = Ok (Json.String "aAbJJ"));
   Alcotest.(check bool) "named escapes" true
     (Json.of_string "\"a\\n\\t\\\\b\"" = Ok (Json.String "a\n\t\\b"))
 
@@ -41,7 +41,19 @@ let test_json_errors () =
       | Error msg ->
         Alcotest.(check bool) "has message" true (String.length msg > 0))
     [ ""; "{"; "["; "\"unterminated"; "1.5"; "1e3"; "nul"; "[1,]";
-      "{\"a\":}"; "{\"a\" 1}"; "[1] garbage"; "{1: 2}" ]
+      "{\"a\":}"; "{\"a\" 1}"; "[1] garbage"; "{1: 2}"; {|"\u0_4a"|} ];
+  (* a [\u] escape is exactly four hex digits: [int_of_string_opt
+     "0x0_4a"] is 74, so a digit separator must not pass for one *)
+  List.iter
+    (fun (src, msg) ->
+      Alcotest.(check (result reject string)) src
+        (Error ("JSON error at offset 3: " ^ msg))
+        (Json.of_string src))
+    [ ({|"\u0_4a"|}, "malformed \\u escape");
+      ({|"\u004_"|}, "malformed \\u escape");
+      ({|"\u+04a"|}, "malformed \\u escape");
+      ({|"\u00e9"|}, "non-ASCII \\u escapes are not supported");
+      ({|"\u004|}, "truncated \\u escape") ]
 
 let graphs_equal a b =
   G.num_classes a = G.num_classes b
