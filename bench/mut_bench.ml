@@ -3,11 +3,11 @@
 
    For each size, a session opens over a [random_dag] with 24 member
    names, warms eight compiled columns (so [add_class] pays for
-   extending them), and applies one forcing mutation — the first
-   mutation of a session materializes the incremental engine, reported
-   as its own row.  Then it times [add_member] of fresh member names on
-   random classes and [add_class] of new classes with random bases, one
-   call at a time.
+   extending them), and times the session's first mutation as its own
+   row: it once built a whole incremental verdict table, and now costs
+   what any [add_member] does.  Then it times [add_member] of fresh
+   member names on random classes and [add_class] of new classes with
+   random bases, one call at a time.
 
    Next to each latency row go two counts that do not depend on timing:
    the verdict rows recomputed ([Session.add_member]'s own report) and

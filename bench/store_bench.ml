@@ -7,7 +7,7 @@
    installs the persisted columns directly into the table cache, so the
    serving state is ready without recomputation.  The third family adds
    a WAL tail to the warm path: recovery replays the logged mutations
-   through the session's incremental engine, which is the real restart
+   through the session's mutation calls, which is the real restart
    cost once a store has been running between compactions. *)
 
 module G = Chg.Graph

@@ -1065,9 +1065,8 @@ let serve_cmd =
          "Run the resident lookup service: cxxlookup-rpc/1 requests as \
           JSON lines on stdin, responses on stdout (open, lookup, \
           batch_lookup, mutate, snapshot, restore, stats, metrics, \
-          close).  Sessions keep a parsed hierarchy, an incremental \
-          engine, a memo engine and a compiled-table cache resident \
-          across requests.  With --store, sessions survive restarts: \
+          close).  Sessions keep a parsed hierarchy, a memo engine and \
+          a compiled-table cache resident across requests.  With --store, sessions survive restarts: \
           every open writes a snapshot, every mutation appends to a \
           write-ahead log, and startup recovers whatever the store \
           holds.  Observability: --metrics-file exposes the Prometheus \

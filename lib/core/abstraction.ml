@@ -20,13 +20,6 @@ let lv_compare a b =
   | Lv _, Omega -> 1
   | Lv x, Lv y -> compare x y
 
-let extend_red r x kind =
-  (* [o] is monotone w.r.t. lv_compare only trivially; re-sort to keep the
-     invariant.  Two distinct Lv values never merge under [o] (it only
-     rewrites Omega), so uniqueness is preserved except for Omegas all
-     mapping to the same Lv x. *)
-  { r with r_lvs = List.sort_uniq lv_compare (List.map (fun v -> o v x kind) r.r_lvs) }
-
 (* [o] only rewrites Ω, and a sorted deduped list carries Ω at most once,
    at its head.  So extending a whole blue set is the identity unless the
    edge is virtual and Ω is present, in which case Ω becomes [Lv x]: a
@@ -42,6 +35,13 @@ let extend_blue s x kind =
     in
     insert rest
   | _ -> s
+
+(* A red group's lvs are sorted and deduplicated like a blue set, so
+   they extend the same way; an unchanged group (a non-virtual edge, or
+   no Ω in it) is shared, not copied. *)
+let extend_red r x kind =
+  let lvs = extend_blue r.r_lvs x kind in
+  if lvs == r.r_lvs then r else { r with r_lvs = lvs }
 
 type vbase = Chg.Graph.class_id -> Chg.Graph.class_id -> bool
 

@@ -159,7 +159,52 @@ let combine ?(metrics = Metrics.disabled) ~vbase ~is_static_at incoming =
     then Metrics.bump metrics metrics.red_demotions;
     (Blue (blue_union max_lvs undominated_blues), None)
 
-let combine_incoming = combine
+(* One lazy Figure-8 step: member [m]'s verdict at class [c] from its
+   direct bases' verdicts, read through [verdict_of] — the memo's
+   recursive fill, an incremental row, or a packed column.  Lines
+   [11]-[12] kill on a declaration; otherwise each base's verdict is
+   pushed through its edge and combined.  Counters as in the eager
+   pass, minus its Members[C] bookkeeping. *)
+let step ?(metrics = Metrics.disabled) ~static_rule cl m verdict_of c =
+  let g = Chg.Closure.graph cl in
+  if Chg.Graph.declares g c m then begin
+    Metrics.bump metrics metrics.declared_kills;
+    Metrics.bump metrics metrics.red_verdicts;
+    Some (Red { r_ldc = c; r_lvs = [ Omega ] })
+  end
+  else
+    (* bases in order, each read before the next (a memo's recursive
+       fills happen in this order) *)
+    let rec pushed = function
+      | [] -> []
+      | (b : Chg.Graph.base) :: rest ->
+        let x = b.b_class in
+        Metrics.bump metrics metrics.edge_traversals;
+        (match verdict_of x with
+        | None -> pushed rest
+        | Some (Red r) ->
+          Metrics.bump_n metrics metrics.o_extensions (List.length r.r_lvs);
+          let v = Red (extend_red r x b.b_kind) in
+          (v, None) :: pushed rest
+        | Some (Blue s) ->
+          Metrics.bump_n metrics metrics.o_extensions (List.length s);
+          let v = Blue (extend_blue s x b.b_kind) in
+          (v, None) :: pushed rest)
+    in
+    match pushed (Chg.Graph.bases g c) with
+    | [] -> None
+    | incoming ->
+      let is_static_at l =
+        static_rule
+        &&
+        match Chg.Graph.find_member g l m with
+        | Some mem -> Chg.Graph.member_is_static_like mem
+        | None -> false
+      in
+      Some
+        (fst
+           (combine ~metrics ~vbase:(Chg.Closure.is_virtual_base cl)
+              ~is_static_at incoming))
 
 let build_general ?(static_rule = true) ?(witnesses = false)
     ?(metrics = Metrics.disabled) cl ~only =

@@ -107,19 +107,23 @@ val pp_verdict : Chg.Graph.t -> Format.formatter -> verdict -> unit
 
 (**/**)
 
-(** Internal: one combine step of Figure 8 (lines [14]-[44]) for a class
-    whose direct-base verdicts have already been pushed through their
-    edges.  [is_static_at l] decides whether the member under lookup is a
-    static member of class [l] (constantly [false] disables the Section 6
-    extension).  [metrics] counts dominance probes, verdict colors and
-    red→blue demotions.  Shared with {!Memo} and {!Incremental}; not part
-    of the stable API. *)
-val combine_incoming :
+(** Internal: [step ?metrics ~static_rule cl m verdict_of c] is one lazy
+    Figure-8 step — member [m]'s verdict at class [c] of
+    [Chg.Closure.graph cl] — reading the verdicts of [c]'s direct bases
+    through [verdict_of] (a memo's recursive fill, an incremental row, a
+    packed column).  Counts declared kills, edge traversals,
+    [o]-extensions, dominance probes, verdict colors and red→blue
+    demotions into [metrics].  The one combine shared by {!Memo},
+    {!Incremental} and the service's column extension; not part of the
+    stable API. *)
+val step :
   ?metrics:Metrics.t ->
-  vbase:Abstraction.vbase ->
-  is_static_at:(Chg.Graph.class_id -> bool) ->
-  (verdict * Subobject.Path.t option) list ->
-  verdict * Subobject.Path.t option
+  static_rule:bool ->
+  Chg.Closure.t ->
+  string ->
+  (Chg.Graph.class_id -> verdict option) ->
+  Chg.Graph.class_id ->
+  verdict option
 
 (** Internal: [blue_union s1 s2] merges two blue abstraction sets.  Both
     inputs must be sorted by {!Abstraction.lv_compare} and deduplicated

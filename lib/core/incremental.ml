@@ -1,5 +1,3 @@
-open Abstraction
-
 (* The hierarchy itself — graph snapshot and closure rows — is the shared
    append-only closure [cl]; this module adds only the verdict rows. *)
 type t = {
@@ -21,53 +19,20 @@ let row t c =
   if c < 0 || c >= num_classes t then invalid_arg "Incremental: bad class id";
   t.rows.(c)
 
-(* One Figure-8 combine for member [mname] at live row [id], reading the
+(* One Figure-8 step for member [mname] at live row [id], reading the
    current verdicts of the row's direct bases.  Shared between the
    add_class path (fresh row, verdicts computed once) and the add_member
    path (existing rows whose column must be recomputed). *)
 let recompute_member t id mname =
-  let g = graph t in
   let r = row t id in
   Metrics.bump t.metrics t.metrics.Metrics.incr_row_members;
-  if Chg.Graph.declares g id mname then begin
-    Metrics.bump t.metrics t.metrics.Metrics.declared_kills;
-    Metrics.bump t.metrics t.metrics.Metrics.red_verdicts;
-    Hashtbl.replace r mname (Engine.Red { r_ldc = id; r_lvs = [ Omega ] })
-  end
-  else begin
-    let incoming =
-      List.filter_map
-        (fun (b : Chg.Graph.base) ->
-          Metrics.bump t.metrics t.metrics.Metrics.edge_traversals;
-          let x = b.b_class in
-          match Hashtbl.find_opt (row t x) mname with
-          | None -> None
-          | Some (Engine.Red red) ->
-            Metrics.bump_n t.metrics t.metrics.Metrics.o_extensions
-              (List.length red.r_lvs);
-            Some (Engine.Red (extend_red red x b.b_kind), None)
-          | Some (Engine.Blue s) ->
-            Metrics.bump_n t.metrics t.metrics.Metrics.o_extensions
-              (List.length s);
-            Some (Engine.Blue (extend_blue s x b.b_kind), None))
-        (Chg.Graph.bases g id)
-    in
-    match incoming with
-    | [] -> Hashtbl.remove r mname
-    | _ ->
-      let is_static_at l =
-        t.static_rule
-        &&
-        match Chg.Graph.find_member g l mname with
-        | Some mem -> Chg.Graph.member_is_static_like mem
-        | None -> false
-      in
-      let v, _ =
-        Engine.combine_incoming ~metrics:t.metrics
-          ~vbase:(Chg.Closure.is_virtual_base t.cl) ~is_static_at incoming
-      in
-      Hashtbl.replace r mname v
-  end
+  match
+    Engine.step ~metrics:t.metrics ~static_rule:t.static_rule t.cl mname
+      (fun x -> Hashtbl.find_opt (row t x) mname)
+      id
+  with
+  | None -> Hashtbl.remove r mname
+  | Some v -> Hashtbl.replace r mname v
 
 (* The verdict row of class [id], whose closure row already exists:
    Members[C] = M[C] ∪ bases' Members, one combine per member name. *)

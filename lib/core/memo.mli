@@ -9,6 +9,14 @@
     the total work over any query sequence never exceeds the eager
     table's.
 
+    Each member a query touches gets one {!Packed.partial} column:
+    packed entries (the compiled column's own format, so a red verdict is
+    one immediate int) in 64-entry blocks allocated on first write, and a
+    column-local arena for the rare multi-lv verdicts; each entry also
+    costs one int in the eviction queue.  {!materialize_column} freezes
+    the partial into the compiled column, and the memo then serves from
+    that column.
+
     Long-running callers (notably the {!Service} layer) can cap residency:
     the cache is pure memoisation, so evicting any entry is always
     correct — a later query just recomputes it. *)
@@ -46,7 +54,10 @@ val root_queries : t -> string -> int
     [m] — the verdict for every class, indexed by class id — already in
     the packed query-serving representation.  Fills (and caches) whatever
     entries are still missing; does {e not} count as root queries.  This
-    is the promotion path from the memo engine to a compiled table. *)
+    is the promotion path from the memo engine to a compiled table.
+    Uncapped, the column {e is} the memo's storage for [m] (frozen, then
+    shared: a later {!evict} copies before it writes); capped, entries
+    may be evicted while the column fills, so it is packed afresh. *)
 val materialize_column : t -> string -> Packed.column
 
 (** [evict t n] drops up to [n] cached entries, oldest first, returning

@@ -126,9 +126,9 @@ let pack_column col =
     pc_entries = Arr entries;
     pc_arena = Arr (Array.sub ar.a 0 ar.alen) }
 
-let column_get col c =
-  let e = vget col.pc_entries c in
-  let n = col.pc_classes in
+(* The verdict of entry [e] of an [n]-class column whose arena is
+   [arena]. *)
+let decode n arena e =
   match e land 3 with
   | 0 -> None
   | 1 ->
@@ -137,18 +137,21 @@ let column_get col c =
       (Engine.Red { r_ldc = v / (n + 1); r_lvs = [ lv_of_code n (v mod (n + 1)) ] })
   | 2 ->
     let off = e lsr 2 in
-    let ldc = vget col.pc_arena off and len = vget col.pc_arena (off + 1) in
+    let ldc = vget arena off and len = vget arena (off + 1) in
     Some
       (Engine.Red
          { r_ldc = ldc;
-           r_lvs = List.init len (fun i -> lv_of_code n (vget col.pc_arena (off + 2 + i)))
+           r_lvs = List.init len (fun i -> lv_of_code n (vget arena (off + 2 + i)))
          })
   | _ ->
     let off = e lsr 2 in
-    let len = vget col.pc_arena off in
+    let len = vget arena off in
     Some
       (Engine.Blue
-         (List.init len (fun i -> lv_of_code n (vget col.pc_arena (off + 1 + i)))))
+         (List.init len (fun i -> lv_of_code n (vget arena (off + 1 + i)))))
+
+let column_get col c =
+  decode col.pc_classes col.pc_arena (vget col.pc_entries c)
 
 let column_color col c =
   match vget col.pc_entries c land 3 with
@@ -175,6 +178,170 @@ let column_resolve_code col c =
   | _ -> -2
 
 let unpack_column col = Array.init col.pc_classes (column_get col)
+
+(* ---- partial columns ------------------------------------------------
+
+   The lazy memo's store: one member's column while it fills, in the
+   entry format above plus [-1] for "not computed" (no packed entry is
+   negative).  Entries live in 64-entry blocks allocated on first write,
+   so a query that touches a few classes of a large hierarchy pays for a
+   few blocks, not for a whole column.  Slices go onto a column-local
+   arena in fill order; an evicted entry's slice is dead weight until
+   the arena is compacted.  [partial_freeze] copies the entries into one
+   flat array and re-lays the live slices in class order, so the frozen
+   column is bit-identical to [pack_column] of the same verdicts
+   whatever order they were computed in.  The partial then drops its
+   blocks and serves from the column's arrays; [partial_remove] copies
+   them back before its first write, so a column handed out (and read
+   lock-free on other domains) is never written again. *)
+
+let not_computed = -1
+let block_bits = 6
+let block = 1 lsl block_bits
+
+type partial = {
+  pt_classes : int;
+  mutable pt_blocks : int array array;
+      (* an empty block: nothing computed there; unused while frozen *)
+  pt_arena : arena;
+  mutable pt_live : int;  (* arena words some computed entry points at *)
+  mutable pt_filled : int;
+  mutable pt_frozen : column option;  (* set: entries and arena are its *)
+}
+
+let num_blocks n = (n + block - 1) lsr block_bits
+let no_blocks n = Array.make (num_blocks n) [||]
+
+let partial_create n =
+  check_classes n;
+  { pt_classes = n;
+    pt_blocks = no_blocks n;
+    pt_arena = { a = [||]; alen = 0 };
+    pt_live = 0;
+    pt_filled = 0;
+    pt_frozen = None }
+
+let entry p c =
+  if c < 0 || c >= p.pt_classes then invalid_arg "Packed: class out of range";
+  match p.pt_frozen with
+  | Some col -> vget col.pc_entries c
+  | None ->
+    let b = p.pt_blocks.(c lsr block_bits) in
+    if Array.length b = 0 then not_computed else b.(c land (block - 1))
+
+(* only on an unfrozen partial *)
+let set_entry p c e =
+  let i = c lsr block_bits in
+  let b = p.pt_blocks.(i) in
+  let b =
+    if Array.length b > 0 then b
+    else begin
+      let b = Array.make block not_computed in
+      p.pt_blocks.(i) <- b;
+      b
+    end
+  in
+  b.(c land (block - 1)) <- e
+
+let partial_mem p c = entry p c <> not_computed
+
+(* a red immediate reads no arena *)
+let no_arena = Arr [||]
+
+let partial_get p c =
+  let e = entry p c in
+  if e = not_computed then invalid_arg "Packed.partial_get: not computed";
+  decode p.pt_classes
+    (if e land 3 >= tag_red_group then Arr p.pt_arena.a else no_arena)
+    e
+
+(* arena words of entry [e]'s slice *)
+let slice_len a e =
+  match e land 3 with
+  | 2 -> 2 + a.((e lsr 2) + 1)
+  | 3 -> 1 + a.(e lsr 2)
+  | _ -> 0
+
+(* Move the live slices to a fresh arena of exactly their size, in
+   class order, and re-point the entries.  Only on an unfrozen
+   partial. *)
+let relayout p =
+  let ar = p.pt_arena in
+  let fresh = Array.make p.pt_live 0 in
+  let pos = ref 0 in
+  for c = 0 to p.pt_classes - 1 do
+    let e = entry p c in
+    if e > 0 && e land 3 >= tag_red_group then begin
+      let len = slice_len ar.a e in
+      Array.blit ar.a (e lsr 2) fresh !pos len;
+      set_entry p c ((!pos lsl 2) lor (e land 3));
+      pos := !pos + len
+    end
+  done;
+  ar.a <- fresh;
+  ar.alen <- !pos
+
+let partial_set p c v =
+  if entry p c <> not_computed then
+    invalid_arg "Packed.partial_set: already computed";
+  let ar = p.pt_arena in
+  (* dead slices are reclaimed once they outweigh both the live ones
+     and an eighth of a column, so compaction is amortized O(1) *)
+  let dead = ar.alen - p.pt_live in
+  if dead > 16 && dead >= p.pt_live && dead >= p.pt_classes / 8 then relayout p;
+  let e = encode_entry p.pt_classes ar v in
+  set_entry p c e;
+  p.pt_live <- p.pt_live + slice_len ar.a e;
+  p.pt_filled <- p.pt_filled + 1
+
+(* Back from a frozen column to private blocks and arena. *)
+let unshare p =
+  match p.pt_frozen with
+  | None -> ()
+  | Some col ->
+    let n = p.pt_classes in
+    p.pt_blocks <-
+      Array.init (num_blocks n) (fun i ->
+          Array.init block (fun k ->
+              let c = (i * block) + k in
+              if c < n then vget col.pc_entries c else not_computed));
+    p.pt_arena.a <- Array.copy p.pt_arena.a;
+    p.pt_frozen <- None
+
+let partial_remove p c =
+  let e = entry p c in
+  e <> not_computed
+  && begin
+    unshare p;
+    set_entry p c not_computed;
+    p.pt_live <- p.pt_live - slice_len p.pt_arena.a e;
+    p.pt_filled <- p.pt_filled - 1;
+    true
+  end
+
+let partial_clear p =
+  p.pt_blocks <- no_blocks p.pt_classes;
+  p.pt_arena.a <- [||];
+  p.pt_arena.alen <- 0;
+  p.pt_live <- 0;
+  p.pt_filled <- 0;
+  p.pt_frozen <- None
+
+let partial_freeze p =
+  match p.pt_frozen with
+  | Some col -> col
+  | None ->
+    if p.pt_filled <> p.pt_classes then
+      invalid_arg "Packed.partial_freeze: column not complete";
+    relayout p;
+    let col =
+      { pc_classes = p.pt_classes;
+        pc_entries = Arr (Array.init p.pt_classes (entry p));
+        pc_arena = Arr p.pt_arena.a }
+    in
+    p.pt_frozen <- Some col;
+    p.pt_blocks <- [||];
+    col
 
 (* Appends are the add_class mutation path.  The lv/ldc coding base is
    the class count, so growing the universe from [n] to [n+1] re-encodes

@@ -106,6 +106,49 @@ val boxed_column_bytes : column -> int
 
 val column_equal : column -> column -> bool
 
+(** {2 Partial columns}
+
+    One member's column while a lazy engine ({!Memo}) fills it: an entry
+    per class in the column format, or "not computed".  Filled in any
+    order; {!partial_freeze} turns a complete partial into a column
+    bit-identical to {!pack_column} of the same verdicts (its arena
+    slices re-laid in class order).  The partial then serves from the
+    column's arrays, and {!partial_remove} copies them before its first
+    write, so a frozen column is never written again.
+    Not thread-safe; a frozen column is, like any column. *)
+
+type partial
+
+(** [partial_create n] is an [n]-class partial with nothing computed:
+    entries are allocated 64 at a time on first write, so it costs
+    [n/64] words until then.
+    @raise Invalid_argument beyond [2^30 - 1] classes. *)
+val partial_create : int -> partial
+
+(** [partial_mem p c] — whether class [c]'s entry is computed. *)
+val partial_mem : partial -> Chg.Graph.class_id -> bool
+
+(** [partial_get p c] decodes a computed entry (allocates the verdict).
+    @raise Invalid_argument when it is not computed. *)
+val partial_get : partial -> Chg.Graph.class_id -> Engine.verdict option
+
+(** [partial_set p c v] computes class [c]'s entry.  Dead arena slices
+    (of removed entries) are reclaimed here, amortized O(1).
+    @raise Invalid_argument when it is already computed. *)
+val partial_set : partial -> Chg.Graph.class_id -> Engine.verdict option -> unit
+
+(** [partial_remove p c] forgets a computed entry; [false] when there
+    was none. *)
+val partial_remove : partial -> Chg.Graph.class_id -> bool
+
+(** [partial_clear p] forgets every entry. *)
+val partial_clear : partial -> unit
+
+(** [partial_freeze p] is the complete column (the same value on every
+    call until an entry is removed).
+    @raise Invalid_argument when some entry is not computed. *)
+val partial_freeze : partial -> column
+
 (** {2 Codec}
 
     Deterministic little-endian layout via {!Chg.Binary}: u32 class

@@ -1,7 +1,6 @@
 module G = Chg.Graph
 module Engine = Lookup_core.Engine
 module Memo = Lookup_core.Memo
-module Incremental = Lookup_core.Incremental
 module Packed = Lookup_core.Packed
 
 type config = {
@@ -39,16 +38,10 @@ type symtab = {
 type t = {
   name : string;
   config : config;
-  inc : Incremental.t Lazy.t;
-      (* resident source of truth, mutated in place.  Lazy so that a
-         session restored from a snapshot (or one that is never mutated)
-         does not pay the class-by-class replay at open time: the first
-         mutation forces it; lookups are served by the memo and the
-         compiled tables, which need only the frozen graph. *)
   cache : Table_cache.t;
   mutable closure : Chg.Closure.t;
-      (* over the published graph snapshot; shared with [inc] once
-         forced: one append-only closure *)
+      (* over the published graph snapshot: one append-only closure,
+         grown in place by every mutation *)
   mutable memo : Memo.t;  (* read-through engine over the snapshot *)
   mutable epoch : int;  (* mutations applied so far *)
   mutable mro : (int * Mro.variant * Mro.t) list;
@@ -80,11 +73,11 @@ type t = {
 
 let fresh_memo t cl = Memo.create ?max_entries:t.config.memo_max_entries cl
 
-(* Publish the incremental engine's hierarchy after a mutation: its
-   closure is the session's, so the snapshot costs nothing to take. *)
-let publish t inc =
-  t.closure <- Incremental.closure inc;
-  t.memo <- fresh_memo t t.closure
+(* Publish a mutated hierarchy: the new closure (whose graph is the new
+   snapshot) and an empty memo over it. *)
+let publish t cl =
+  t.closure <- cl;
+  t.memo <- fresh_memo t cl
 
 let intern t name =
   match Hashtbl.find_opt t.member_syms name with
@@ -114,7 +107,6 @@ let make ?(config = default_config) ~name ~epoch g =
   let t =
     { name;
       config;
-      inc = lazy (Incremental.of_closure closure);
       cache =
         Table_cache.create ~max_entries:config.table_max_entries
           ?max_bytes:config.table_max_bytes ();
@@ -308,38 +300,47 @@ let mro_lookup t v cls member =
     count_verdict t verdict;
     Ok verdict
 
-(* Mutations go to the incremental engine, which updates in place only
-   what changed: a new class appends one verdict row, one closure row and
-   one graph slot; a new member recomputes that member's verdicts at the
-   class and its derived classes, and computes no closure row.  The
-   session then publishes the engine's closure and graph snapshots and
-   starts an empty memo (the compiled tables carry the warmth across
-   mutations). *)
+(* Mutations grow the append-only graph and closure and repair only
+   what changed: a new class appends one closure row and one graph slot;
+   a new member re-targets the closure and computes no row.  The session
+   then publishes the new snapshot with an empty memo; the compiled
+   columns carry the warmth across mutations. *)
 
 let add_class t ~cls ~bases ~members =
-  let inc = Lazy.force t.inc in
-  let id = Incremental.add_class inc cls ~bases ~members in
+  let g = G.append_class (graph t) cls ~bases ~members in
+  let cl = Chg.Closure.append t.closure g in
+  let id = G.num_classes g - 1 in
   List.iter (fun (m : G.member) -> ignore (intern t m.G.m_name)) members;
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  publish t inc;
+  publish t cl;
   (* Every resident column gains exactly one entry: the new class's
-     verdict, already computed by the incremental row — extension, not
-     invalidation. *)
+     verdict, one Figure-8 step over that column's own entries at the
+     new class's bases — extension, not invalidation. *)
   Table_cache.update_columns t.cache (fun m col ->
-      Some (Packed.column_append col (Incremental.lookup inc id m)));
+      Some
+        (Packed.column_append col
+           (Engine.step ~static_rule:true cl m (Packed.column_get col) id)));
   id
 
 let add_member t ~cls member =
-  let inc = Lazy.force t.inc in
-  let rows = Incremental.add_member inc cls member in
+  let g = G.append_member (graph t) cls member in
+  let cl = Chg.Closure.with_graph t.closure g in
+  (* The new declaration can change the member's verdict only at [cls]
+     and the classes derived from it, all of higher id (topological
+     order): those are the rows a repair of its column recomputes. *)
+  let c = G.find g cls in
+  let rows = ref 1 in
+  for j = c + 1 to G.num_classes g - 1 do
+    if Chg.Closure.is_base cl c j then incr rows
+  done;
   ignore (intern t member.G.m_name);
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  publish t inc;
+  publish t cl;
   (* Only the mutated member's column can have changed; drop exactly it. *)
   let invalidated = Table_cache.invalidate t.cache member.G.m_name in
-  (rows, invalidated)
+  (!rows, invalidated)
 
 let counters t =
   List.map

@@ -1,27 +1,24 @@
 (** One resident hierarchy: the session a [cxxlookup-rpc/1] client opens,
     queries, and mutates.
 
-    A session layers three lookup representations, fastest first:
+    The hierarchy is one append-only graph and closure
+    ({!Chg.Closure}); a verdict lives in one of two representations,
+    both packed ({!Lookup_core.Packed}), fastest first:
 
     + the {b compiled-table cache} ({!Table_cache}): per-member verdict
       columns, one array read per lookup;
     + the {b memo engine} ({!Lookup_core.Memo}): lazy per-entry fills
-      over the current snapshot, and the promotion source for compiled
-      columns;
-    + the {b incremental engine} ({!Lookup_core.Incremental}): the
-      resident source of truth — every class row stays materialized, and
-      [add_class] / [add_member] update it in place instead of rebuilding
-      the table.
+      over the current snapshot into partial packed columns, and the
+      promotion source for compiled columns — promoting freezes the
+      memo's own array, so a promoted verdict is stored once.
 
-    The incremental engine and the session share one append-only
-    closure, whose graph is the published snapshot, so a mutation costs
-    what it changes: [add_class] appends one closure row and one graph
-    slot, [add_member] computes no closure row.  Each mutation publishes
-    the new snapshots with an empty memo, and repairs the compiled tables
-    precisely: [add_class] {e extends} every resident column by the new
-    class's already-computed verdict; [add_member] {e invalidates}
-    exactly the mutated member's column.  See DESIGN.md, "What a
-    mutation touches". *)
+    No whole table is ever resident: a mutation costs what it changes.
+    [add_class] appends one closure row and one graph slot, and {e
+    extends} every resident column by one Figure-8 step over that
+    column's own entries at the new class's bases; [add_member] computes
+    no closure row and {e invalidates} exactly the mutated member's
+    column.  Each mutation publishes the new snapshot with an empty
+    memo.  See DESIGN.md, "What a mutation touches". *)
 
 type config = {
   promote_threshold : int;
@@ -45,11 +42,9 @@ val served_string : served -> string
 
 type t
 
-(** [create ?config ~name g] opens a session over [g].  The incremental
-    engine is materialized lazily — its verdict rows are computed on the
-    first mutation, reusing the session's closure, not at open time — so
-    opening (and restoring from a snapshot) costs only the closure
-    computation. *)
+(** [create ?config ~name g] opens a session over [g]: opening (and
+    restoring from a snapshot) costs the closure computation and no
+    verdict. *)
 val create : ?config:config -> name:string -> Chg.Graph.t -> t
 
 (** [restore ?config ~name ~epoch ~columns g] reopens a session from
@@ -73,8 +68,7 @@ val name : t -> string
 val graph : t -> Chg.Graph.t
 
 (** [closure t] is the closure over [graph t]: computed at open, then
-    shared with the incremental engine and grown by it (one row per added
-    class, none per added member). *)
+    grown in place (one row per added class, none per added member). *)
 val closure : t -> Chg.Closure.t
 
 (** [epoch t] counts mutations applied so far. *)
@@ -132,11 +126,10 @@ val mro_lookup :
   t -> Mro.variant -> string -> string ->
   (Lookup_core.Engine.verdict option, string) result
 
-(** [add_class t ~cls ~bases ~members] — the incremental engine computes
-    just the new verdict row and closure row; resident columns are
-    extended, not dropped.
-    Returns the new class id.
-    @raise Chg.Graph.Error like {!Lookup_core.Incremental.add_class}. *)
+(** [add_class t ~cls ~bases ~members] appends the class and one
+    closure row; resident columns are extended by the new class's
+    verdict, not dropped.  Returns the new class id.
+    @raise Chg.Graph.Error like {!Chg.Graph.append_class}. *)
 val add_class :
   t ->
   cls:string ->
@@ -144,11 +137,13 @@ val add_class :
   members:Chg.Graph.member list ->
   Chg.Graph.class_id
 
-(** [add_member t ~cls member] — the incremental engine recomputes only
-    the affected rows of that member's column; the member's compiled
-    column (if any) is invalidated.  Returns (rows recomputed, column
-    was resident).
-    @raise Chg.Graph.Error like {!Lookup_core.Incremental.add_member}. *)
+(** [add_member t ~cls member] adds the member without computing a
+    closure row; the member's compiled column (if any) is invalidated.
+    Returns (verdict rows the member's column changes at — [cls] and
+    every class derived from it, the count
+    {!Lookup_core.Incremental.add_member} recomputes — and whether the
+    column was resident).
+    @raise Chg.Graph.Error like {!Chg.Graph.append_member}. *)
 val add_member : t -> cls:string -> Chg.Graph.member -> int * bool
 
 (** [counters t] — [lookups], [resolved], [ambiguous], [not_found],

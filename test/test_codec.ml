@@ -299,6 +299,66 @@ let test_renderer_allocation () =
     [ Engine.Red { A.r_ldc = c "C"; r_lvs = [ A.Omega ] };
       Engine.Blue [ A.Omega; A.Lv (c "A"); A.Lv (c "B") ] ]
 
+(* The resolved 1b batch: a warm 64-query [handle_frame] whose member
+   columns all sit in the session's symbol table, so each query is one
+   int-only column probe.  What it allocates is the frame itself — the
+   decoded pairs, one [Ok (code, served)] per query, the codes array,
+   the response bytes — and the request accounting.  Measured once on
+   x86-64 (OCaml 5.1): 1 676 words.  perfbench's traced replay reports
+   more per frame (~6 700): its first measuring pass also refills the
+   memo and re-promotes the columns the stream's last mutations
+   dropped (ROADMAP item 1). *)
+let batch_frame_words_bound = 1_900
+
+let test_frame_batch_allocation () =
+  let members = List.init 16 (Printf.sprintf "m%d") in
+  let n = 600 in
+  let g =
+    (Hiergen.Families.random_dag ~n ~max_bases:3 ~virtual_prob:0.2
+       ~declare_prob:0.25 ~members ~seed:1)
+      .Hiergen.Families.graph
+  in
+  let srv = Service.Server.create () in
+  let opened =
+    Service.Server.handle_line srv
+      (Json.to_string
+         (Json.Obj
+            [ ("id", Json.Int 0); ("op", Json.String "open");
+              ("session", Json.String "s");
+              ("chg", Chg.Serialize.to_json g) ]))
+  in
+  if Json.member "ok" opened <> Ok (Json.Bool true) then
+    Alcotest.failf "open failed: %s" (Json.to_string opened);
+  let frame op =
+    Service.Frame.encode_request
+      { Service.Frame.fr_id = 1; fr_session = "s"; fr_op = op }
+  in
+  let k = List.length (G.member_names g) in
+  (* three id lookups a member promote every column into the table and
+     the symbol table *)
+  for mid = 0 to k - 1 do
+    for _ = 1 to 3 do
+      ignore
+        (Service.Server.handle_frame srv
+           (frame (Service.Frame.Lookup { lk_class = n - 1; lk_member = mid })))
+    done
+  done;
+  let batch =
+    frame
+      (Service.Frame.Batch_lookup
+         (Array.init 64 (fun i -> ((i * 37) mod n, i mod k))))
+  in
+  (match
+     Service.Frame.decode_response ~op:Service.Frame.op_batch_lookup
+       (Service.Server.handle_frame srv batch)
+   with
+  | Ok (_, Service.Frame.Ok_batch _) -> ()
+  | _ -> Alcotest.fail "batch did not answer Ok_batch");
+  let words = minor_words (fun () -> Service.Server.handle_frame srv batch) in
+  if words > batch_frame_words_bound then
+    Alcotest.failf "a warm 64-query 1b batch allocated %d words (bound %d)"
+      words batch_frame_words_bound
+
 let suite =
   [ Alcotest.test_case "json: every prefix matches the reference" `Quick
       test_prefixes;
@@ -309,7 +369,9 @@ let suite =
     Alcotest.test_case "allocation: lexing a long string" `Quick
       test_lexer_allocation;
     Alcotest.test_case "allocation: one verdict_string" `Quick
-      test_renderer_allocation ]
+      test_renderer_allocation;
+    Alcotest.test_case "allocation: a warm 64-query 1b batch" `Quick
+      test_frame_batch_allocation ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_print_matches_reference; prop_roundtrip;
         prop_damaged_matches_reference; prop_renderer_matches_format ]

@@ -8,6 +8,8 @@ module Spec = Subobject.Spec
 module Sgraph = Subobject.Sgraph
 module Engine = Lookup_core.Engine
 module Memo = Lookup_core.Memo
+module Packed = Lookup_core.Packed
+module Metrics = Lookup_core.Metrics
 
 let members = [ "m"; "n"; "p" ]
 
@@ -87,6 +89,132 @@ let prop_memo_matches_eager =
             (fun m -> Engine.lookup eager c m = Memo.lookup lazy_t c m)
             members)
         (G.classes g))
+
+(* The packed memo against the boxed one it replaced
+   ([Memo_reference]) and the eager table, under random interleavings
+   of its four operations, capped and uncapped: the same verdicts, the
+   same residency, evict counts, root-query counts and [memo_*]
+   counters.  A column handed out by [materialize_column] must never be
+   written again, whatever is evicted or cleared after. *)
+type memo_op =
+  | Op_lookup of int * int  (* class pick, member *)
+  | Op_materialize of int
+  | Op_evict of int
+  | Op_clear
+
+let memo_members = [ "m"; "n"; "p"; "absent" ]
+
+let memo_ops_arb =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map2 (fun c m -> Op_lookup (c, m)) (int_bound 1000) (int_bound 3));
+          (2, map (fun m -> Op_materialize m) (int_bound 3));
+          (2, map (fun k -> Op_evict k) (int_bound 20));
+          (1, return Op_clear) ])
+  in
+  QCheck.make
+    QCheck.Gen.(list_size (1 -- 40) op)
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Op_lookup (c, m) -> Printf.sprintf "lookup(%d,%d)" c m
+             | Op_materialize m -> Printf.sprintf "materialize(%d)" m
+             | Op_evict k -> Printf.sprintf "evict(%d)" k
+             | Op_clear -> "clear")
+           ops))
+
+let column_bytes col =
+  let w = Chg.Binary.Writer.create () in
+  Packed.write_column w col;
+  Chg.Binary.Writer.contents w
+
+(* Hierarchies past one 64-entry block of a partial column, so fills,
+   evictions, compaction and freezing cross block boundaries. *)
+let wide_instance_arb =
+  QCheck.make
+    QCheck.Gen.(
+      map
+        (fun (n, vp, seed) ->
+          Hiergen.Families.random_static_dag ~n ~max_bases:3
+            ~virtual_prob:(float_of_int vp /. 10.)
+            ~declare_prob:0.3 ~static_prob:0.3 ~members ~seed)
+        (triple (int_range 65 200) (int_range 0 10) (int_range 0 10000)))
+    ~print:(fun i -> i.Hiergen.Families.description)
+
+let packed_memo_matches_boxed ~count ~name instances caps =
+  QCheck.Test.make ~count ~name
+    (QCheck.triple instances (QCheck.option caps) memo_ops_arb)
+    (fun ({ Hiergen.Families.graph = g; _ }, cap, ops) ->
+      let cl = Chg.Closure.compute g in
+      let eager = Engine.build cl in
+      let n = G.num_classes g in
+      let pm = Metrics.create () and bm = Metrics.create () in
+      let packed = Memo.create ~metrics:pm ?max_entries:cap cl in
+      let boxed = Memo_reference.create ~metrics:bm ?max_entries:cap cl in
+      let handed = ref [] in
+      let step op =
+        match op with
+        | Op_lookup (c, k) ->
+          let c = c mod n and m = List.nth memo_members k in
+          let v = Memo.lookup packed c m in
+          v = Engine.lookup eager c m && v = Memo_reference.lookup boxed c m
+        | Op_materialize k ->
+          let m = List.nth memo_members k in
+          let col = Memo.materialize_column packed m in
+          handed := (col, column_bytes col) :: !handed;
+          Packed.column_equal col (Packed.pack_column (Engine.column eager m))
+          && Packed.column_equal col (Memo_reference.materialize_column boxed m)
+        | Op_evict k -> Memo.evict packed k = Memo_reference.evict boxed k
+        | Op_clear ->
+          Memo.clear packed;
+          Memo_reference.clear boxed;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Memo.cached_entries packed = Memo_reference.cached_entries boxed
+          && List.for_all
+               (fun m ->
+                 Memo.root_queries packed m = Memo_reference.root_queries boxed m)
+               memo_members)
+        ops
+      && Metrics.counters pm = Metrics.counters bm
+      && List.for_all (fun (col, bytes) -> column_bytes col = bytes) !handed)
+
+let prop_packed_memo_matches_boxed =
+  packed_memo_matches_boxed ~count
+    ~name:"packed memo = boxed memo = eager table (lookup/materialize/evict/clear)"
+    static_instance_arb (QCheck.int_range 1 12)
+
+let prop_packed_memo_matches_boxed_wide =
+  packed_memo_matches_boxed ~count:40
+    ~name:"packed memo = boxed memo = eager table, 65-200 classes"
+    wide_instance_arb (QCheck.int_range 1 300)
+
+(* A promoted column does not depend on the order the memo filled it in:
+   it equals a fresh pack of the single-member engine's column, and so
+   do its snapshot bytes. *)
+let prop_materialize_is_pack_column =
+  QCheck.Test.make ~count
+    ~name:"materialize_column = pack_column (bytes too), any query order"
+    (QCheck.pair static_instance_arb
+       (QCheck.list_of_size QCheck.Gen.(0 -- 30) (QCheck.int_bound 1000)))
+    (fun ({ Hiergen.Families.graph = g; _ }, picks) ->
+      let cl = Chg.Closure.compute g in
+      let n = G.num_classes g in
+      let memo = Memo.create cl in
+      List.for_all
+        (fun m ->
+          List.iter (fun c -> ignore (Memo.lookup memo (n - 1 - (c mod n)) m)) picks;
+          let col = Memo.materialize_column memo m in
+          let fresh =
+            Packed.pack_column (Engine.column (Engine.build_member cl m) m)
+          in
+          Packed.column_equal col fresh && column_bytes col = column_bytes fresh)
+        members)
 
 let prop_naive_matches_spec =
   QCheck.Test.make ~count:120 ~name:"naive propagation = spec" instance_arb
@@ -607,6 +735,84 @@ let prop_mutation_traces_match_scratch =
         trace;
       !ok)
 
+(* The same traces with every column promoted before each step: each
+   resident column (extended by [add_class], dropped and re-promoted
+   around [add_member]) equals a fresh pack of the single-member engine
+   over the published graph, and each [add_member]'s row count equals
+   the incremental engine's on the same trace. *)
+let prop_mutation_columns_and_rows =
+  QCheck.Test.make ~count:150
+    ~name:"session mutations: resident columns = fresh pack, rows = incremental"
+    (QCheck.pair static_instance_arb
+       (QCheck.make mutation_trace_gen ~print:(fun l ->
+            String.concat "; " (List.map pp_step l))))
+    (fun ({ Hiergen.Families.graph = g; _ }, trace) ->
+      let s =
+        Service.Session.create
+          ~config:
+            { Service.Session.default_config with promote_threshold = 1 }
+          ~name:"p" g
+      in
+      (* its own hierarchy: only the newest snapshot of one can grow *)
+      let inc = Lookup_core.Incremental.create () in
+      G.iter_classes g (fun c ->
+          ignore
+            (Lookup_core.Incremental.add_class inc (G.name g c)
+               ~bases:
+                 (List.map
+                    (fun (b : G.base) -> (G.name g b.b_class, b.b_kind, b.b_access))
+                    (G.bases g c))
+               ~members:(G.members g c)));
+      let promote_all () =
+        let g = Service.Session.graph s in
+        List.iter
+          (fun m -> ignore (Service.Session.lookup s (G.name g 0) m))
+          mutation_members
+      in
+      let columns_fresh () =
+        let cl = Chg.Closure.compute (Service.Session.graph s) in
+        List.for_all
+          (fun (m, col) ->
+            Packed.column_equal col
+              (Packed.pack_column (Engine.column (Engine.build_member cl m) m)))
+          (Service.Session.compiled_columns s)
+      in
+      let raises f = match f () with _ -> false | exception G.Error _ -> true in
+      let apply k step =
+        let g = Service.Session.graph s in
+        let n = G.num_classes g in
+        match step with
+        | Step_class (a, b, v, m) ->
+          let bases =
+            List.sort_uniq compare [ a mod n; b mod n ]
+            |> List.map (fun x ->
+                   ( G.name g x,
+                     (if v && x = a mod n then G.Virtual else G.Non_virtual),
+                     G.Public ))
+          and cls = Printf.sprintf "T%d" k
+          and members = [ G.member (List.nth mutation_members m) ] in
+          ignore (Service.Session.add_class s ~cls ~bases ~members);
+          ignore (Lookup_core.Incremental.add_class inc cls ~bases ~members);
+          true
+        | Step_member (c, m) ->
+          let cls = G.name g (c mod n)
+          and mem = G.member (List.nth mutation_members m) in
+          (match Service.Session.add_member s ~cls mem with
+          | rows, _ -> rows = Lookup_core.Incremental.add_member inc cls mem
+          | exception G.Error _ ->
+            raises (fun () -> Lookup_core.Incremental.add_member inc cls mem))
+      in
+      promote_all ();
+      let ok = ref (columns_fresh ()) in
+      List.iteri
+        (fun k step ->
+          if !ok then begin
+            promote_all ();
+            ok := apply k step && columns_fresh ()
+          end)
+        trace;
+      !ok)
+
 let prop_layout_size_accounting =
   (* Exact size accounting: every subobject contributes its own vptr (if
      its class is polymorphic) plus a word per non-static data member of
@@ -646,6 +852,9 @@ let suite =
     [ prop_engine_matches_spec;
       prop_engine_matches_spec_static;
       prop_memo_matches_eager;
+      prop_packed_memo_matches_boxed;
+      prop_packed_memo_matches_boxed_wide;
+      prop_materialize_is_pack_column;
       prop_naive_matches_spec;
       prop_rf_and_fixed_gxx_match_spec;
       prop_gxx_buggy_never_wrong_resolution;
@@ -662,6 +871,7 @@ let suite =
       prop_witness_path_bounds_best;
       prop_incremental_matches_batch;
       prop_mutation_traces_match_scratch;
+      prop_mutation_columns_and_rows;
       prop_emit_parse_roundtrip;
       prop_member_column_matches_table;
       prop_witness_is_maximal;

@@ -264,9 +264,8 @@ let test_session_add_member_invalidates () =
   check_all_lookups s
 
 (* A mutation builds only the closure rows it changes: none for an
-   added member (nor for the first mutation, which materializes the
-   incremental engine over the session's own closure), exactly one for
-   an added class.  Counts, not times, so a return to recomputing the
+   added member (the first mutation included), exactly one for an added
+   class.  Counts, not times, so a return to recomputing the
    whole closure per mutation fails on any host. *)
 let test_session_mutation_closure_rows () =
   let g =
@@ -294,6 +293,54 @@ let test_session_mutation_closure_rows () =
   Alcotest.(check int) "301 classes" 301 (G.num_classes (Session.graph s));
   Alcotest.(check bool) "the session's closure covers the new class" true
     (Chg.Closure.is_virtual_base (Session.closure s) 299 300)
+
+(* What a session keeps resident, in words ([Obj.reachable_words]: a
+   count, not a time, so it fails the same on every host).  A verdict is
+   stored once, packed: after every column is promoted, the session —
+   graph, closure, compiled columns, memo and all — costs at most
+   [words_per_entry] words per (class, member).  The first mutation
+   computes no verdict table: on a session restored from its columns
+   (the recovery path, whose memo is empty) the first [add_member] grows
+   the session by at most [words_per_class] words per class.  Measured
+   once on this hierarchy (x86-64, OCaml 5.1): 10.6 words per entry
+   (the boxed memo beside the columns cost 31.4) and a 33-word growth
+   (materializing a resident incremental table cost 241 words per
+   class). *)
+let words_per_entry = 12
+let words_per_class = 2
+
+let test_session_memory () =
+  let members = List.init 16 (Printf.sprintf "m%d") in
+  let n = 600 in
+  let g =
+    (Hiergen.Families.random_dag ~n ~max_bases:3 ~virtual_prob:0.2
+       ~declare_prob:0.25 ~members ~seed:11)
+      .Hiergen.Families.graph
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let s = Session.create ~name:"mem" g in
+  List.iter
+    (fun m ->
+      for _ = 1 to 3 do
+        ignore (Session.lookup s (G.name g (n - 1)) m)
+      done)
+    members;
+  Alcotest.(check int) "every column promoted" (List.length members)
+    (List.length (Session.compiled_columns s));
+  let entries = n * List.length members in
+  let promoted = words s in
+  if promoted > words_per_entry * entries then
+    Alcotest.failf "promoted session: %d words for %d entries (bound %d an entry)"
+      promoted entries words_per_entry;
+  let r =
+    Session.restore ~name:"mem" ~epoch:0 ~columns:(Session.compiled_columns s) g
+  in
+  let before = words r in
+  ignore (Session.add_member r ~cls:(G.name g (n / 2)) (G.member "fresh"));
+  let growth = words r - before in
+  if growth > words_per_class * n then
+    Alcotest.failf "first add_member grew the session by %d words (bound %d)"
+      growth (words_per_class * n)
 
 (* ---- Protocol codec ---- *)
 
@@ -732,6 +779,8 @@ let suite =
       test_session_add_member_invalidates;
     Alcotest.test_case "mutations build only changed closure rows" `Quick
       test_session_mutation_closure_rows;
+    Alcotest.test_case "one packed verdict store: words per entry" `Quick
+      test_session_memory;
     Alcotest.test_case "protocol parses every verb" `Quick
       test_protocol_parse_ok;
     Alcotest.test_case "protocol error codes" `Quick
